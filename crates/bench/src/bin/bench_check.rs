@@ -7,7 +7,9 @@
 //!
 //! Every `BENCH_*.json` in the baseline directory must have a fresh
 //! counterpart (same file name) in the fresh directory — a bench that
-//! silently stopped producing its report must not look green.
+//! silently stopped producing its report must not look green. Speedups
+//! of reports run at one worker or core are printed as skipped, with
+//! the reason, instead of gated.
 
 use qkb_bench::check::check_pair;
 use qkb_util::json::Value;
@@ -60,13 +62,16 @@ fn main() {
         );
         let baseline = load(base_path);
         let fresh = load(&fresh_path);
-        let regs = check_pair(&baseline, &fresh)
+        let outcome = check_pair(&baseline, &fresh)
             .unwrap_or_else(|e| panic!("{}: {e}", name.to_string_lossy()));
         let bench = baseline.get("bench").and_then(Value::as_str).expect("tag");
-        if regs.is_empty() {
+        for reason in &outcome.skipped {
+            println!("skipped: {reason}");
+        }
+        if outcome.regressions.is_empty() {
             println!("ok: {bench} ({})", name.to_string_lossy());
         }
-        for r in regs {
+        for r in outcome.regressions {
             println!("REGRESSION: {r}");
             regressions.push(r);
         }

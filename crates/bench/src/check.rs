@@ -5,7 +5,10 @@
 //! The committed baselines are produced in quick mode to match the
 //! quick-mode fresh runs CI performs, and the gate compares *ratios*
 //! (speedups) and relative latencies — quantities that are stable
-//! across machines — rather than absolute wall-clock.
+//! across machines — rather than absolute wall-clock. A speedup measured
+//! at one worker, or on one core, is no speedup: a report whose
+//! `workers` or `cores` is at most 1 has its speedup metrics skipped,
+//! with the reason reported instead of a verdict.
 
 use qkb_util::json::Value;
 
@@ -101,6 +104,25 @@ impl std::fmt::Display for Regression {
     }
 }
 
+/// The outcome of comparing one report pair.
+#[derive(Clone, Debug, Default)]
+pub struct Checked {
+    /// Headline metrics that regressed beyond [`TOLERANCE`].
+    pub regressions: Vec<Regression>,
+    /// Headline metrics left ungated, each with the reason.
+    pub skipped: Vec<String>,
+}
+
+/// Why a report's speedup metrics cannot be gated, if they cannot: the
+/// report ran with at most one worker (`workers`) or on at most one core
+/// (`cores`), so its parallel arm had nothing to run in parallel on.
+pub fn speedup_skip_reason(report: &Value) -> Option<String> {
+    ["workers", "cores"].into_iter().find_map(|key| {
+        let n = lookup(report, key)?;
+        (n <= 1.0).then(|| format!("the report ran with {key} = {n}"))
+    })
+}
+
 /// Resolves a dot-separated path in a JSON object to a number.
 pub fn lookup(v: &Value, path: &str) -> Option<f64> {
     let mut cur = v;
@@ -112,10 +134,12 @@ pub fn lookup(v: &Value, path: &str) -> Option<f64> {
 
 /// Compares a fresh report against its committed baseline. Returns the
 /// regressions beyond [`TOLERANCE`]; improvements and small wobbles
-/// pass. Errors on malformed reports (missing `bench` tag, mismatched
-/// bench kinds, or a headline metric absent from either side) — a gate
-/// that silently checks nothing must not look green.
-pub fn check_pair(baseline: &Value, fresh: &Value) -> Result<Vec<Regression>, String> {
+/// pass. Speedup metrics of a report pair where either side ran on one
+/// worker or core are skipped, and the skip is returned with its reason.
+/// Errors on malformed reports (missing `bench` tag, mismatched bench
+/// kinds, or a headline metric absent from either side) — a gate that
+/// silently checks nothing must not look green.
+pub fn check_pair(baseline: &Value, fresh: &Value) -> Result<Checked, String> {
     let bench = baseline
         .get("bench")
         .and_then(Value::as_str)
@@ -134,8 +158,16 @@ pub fn check_pair(baseline: &Value, fresh: &Value) -> Result<Vec<Regression>, St
     if specs.is_empty() {
         return Err(format!("no headline metrics known for bench `{bench}`"));
     }
-    let mut out = Vec::new();
+    let serial = speedup_skip_reason(baseline).or_else(|| speedup_skip_reason(fresh));
+    let mut out = Checked::default();
     for spec in specs {
+        if let Some(reason) = serial.as_ref().filter(|_| spec.path.ends_with("speedup")) {
+            out.skipped.push(format!(
+                "{bench}: `{}` not gated: {reason}, so it measures no parallelism",
+                spec.path
+            ));
+            continue;
+        }
         let base = lookup(baseline, spec.path)
             .ok_or_else(|| format!("{bench}: baseline is missing `{}`", spec.path))?;
         let new = lookup(fresh, spec.path)
@@ -151,7 +183,7 @@ pub fn check_pair(baseline: &Value, fresh: &Value) -> Result<Vec<Regression>, St
             Direction::LowerIsBetter => (new - base) / base,
         };
         if regression > TOLERANCE {
-            out.push(Regression {
+            out.regressions.push(Regression {
                 bench: bench.clone(),
                 path: spec.path.to_string(),
                 baseline: base,
@@ -178,17 +210,21 @@ mod tests {
         let base = report("build_kb_parallel", 4.0);
         assert!(check_pair(&base, &report("build_kb_parallel", 5.0))
             .expect("ok")
+            .regressions
             .is_empty());
         // 20% down is within the 25% tolerance.
         assert!(check_pair(&base, &report("build_kb_parallel", 3.2))
             .expect("ok")
+            .regressions
             .is_empty());
     }
 
     #[test]
     fn large_speedup_drop_is_flagged() {
         let base = report("build_kb_parallel", 4.0);
-        let regs = check_pair(&base, &report("build_kb_parallel", 2.4)).expect("ok");
+        let regs = check_pair(&base, &report("build_kb_parallel", 2.4))
+            .expect("ok")
+            .regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "speedup");
         assert!(regs[0].regression > 0.25);
@@ -207,9 +243,12 @@ mod tests {
         // Lower latency is an improvement, not a regression.
         assert!(check_pair(&base, &mk(5.0, 5.0, 20.0))
             .expect("ok")
+            .regressions
             .is_empty());
         // 50% slower p95 trips the gate.
-        let regs = check_pair(&base, &mk(5.0, 10.0, 60.0)).expect("ok");
+        let regs = check_pair(&base, &mk(5.0, 10.0, 60.0))
+            .expect("ok")
+            .regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "served_p95_ms");
     }
@@ -226,12 +265,17 @@ mod tests {
         let base = mk(3.5, 27.0, 4.0);
         assert!(check_pair(&base, &mk(3.4, 26.0, 3.8))
             .expect("ok")
+            .regressions
             .is_empty());
-        let regs = check_pair(&base, &mk(1.5, 26.0, 3.8)).expect("ok");
+        let regs = check_pair(&base, &mk(1.5, 26.0, 3.8))
+            .expect("ok")
+            .regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "greedy.speedup");
         // A collapsed cache speedup trips its own headline.
-        let regs = check_pair(&base, &mk(3.5, 27.0, 1.0)).expect("ok");
+        let regs = check_pair(&base, &mk(3.5, 27.0, 1.0))
+            .expect("ok")
+            .regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "component_cache.speedup");
     }
@@ -245,10 +289,16 @@ mod tests {
         };
         let base = mk(8.0);
         // Small wobble and improvement both pass.
-        assert!(check_pair(&base, &mk(7.0)).expect("ok").is_empty());
-        assert!(check_pair(&base, &mk(12.0)).expect("ok").is_empty());
+        assert!(check_pair(&base, &mk(7.0))
+            .expect("ok")
+            .regressions
+            .is_empty());
+        assert!(check_pair(&base, &mk(12.0))
+            .expect("ok")
+            .regressions
+            .is_empty());
         // A collapsed replay speedup trips the gate.
-        let regs = check_pair(&base, &mk(4.0)).expect("ok");
+        let regs = check_pair(&base, &mk(4.0)).expect("ok").regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "replay_speedup");
     }
@@ -261,11 +311,49 @@ mod tests {
                 .with("bytes_reduction", bytes)
         };
         let base = mk(3.0);
-        assert!(check_pair(&base, &mk(2.8)).expect("ok").is_empty());
+        assert!(check_pair(&base, &mk(2.8))
+            .expect("ok")
+            .regressions
+            .is_empty());
         // A collapsed sharing ratio trips its own headline.
-        let regs = check_pair(&base, &mk(1.2)).expect("ok");
+        let regs = check_pair(&base, &mk(1.2)).expect("ok").regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "bytes_reduction");
+    }
+
+    #[test]
+    fn speedup_at_one_worker_or_core_is_skipped_with_its_reason() {
+        let mk =
+            |key: &str, n: f64, speedup: f64| report("build_kb_parallel", speedup).with(key, n);
+        for key in ["workers", "cores"] {
+            // One worker: even a collapsed speedup is reported, not gated.
+            let checked = check_pair(&mk(key, 1.0, 1.17), &mk(key, 1.0, 0.5)).expect("ok");
+            assert!(checked.regressions.is_empty());
+            assert_eq!(checked.skipped.len(), 1);
+            assert!(checked.skipped[0].contains("`speedup` not gated"));
+            assert!(checked.skipped[0].contains(&format!("{key} = 1")));
+            // Either side at one worker is enough to skip.
+            let checked = check_pair(&mk(key, 4.0, 3.0), &mk(key, 1.0, 1.0)).expect("ok");
+            assert_eq!((checked.regressions.len(), checked.skipped.len()), (0, 1));
+            // With real parallelism the speedup is gated as before.
+            let checked = check_pair(&mk(key, 4.0, 3.0), &mk(key, 4.0, 1.0)).expect("ok");
+            assert!(checked.skipped.is_empty());
+            assert_eq!(checked.regressions.len(), 1);
+        }
+        // Latency headlines of a one-worker report are still gated.
+        let mk = |p95: f64| {
+            Value::object()
+                .with("bench", "serve")
+                .with("shards", 1.0)
+                .with("workers", 1.0)
+                .with("speedup", 5.0)
+                .with("served_p50_ms", 10.0)
+                .with("served_p95_ms", p95)
+        };
+        let checked = check_pair(&mk(40.0), &mk(60.0)).expect("ok");
+        assert_eq!(checked.skipped.len(), 1);
+        assert_eq!(checked.regressions.len(), 1);
+        assert_eq!(checked.regressions[0].path, "served_p95_ms");
     }
 
     #[test]

@@ -61,33 +61,25 @@ pub struct DocCanonOutput {
 /// The deterministic cluster layout of one densified document: union-find
 /// roots over the surviving `sameAs` edges, with clusters listed in
 /// first-member-appearance order (over `built.mentions`) — the order the
-/// document-order reduce applies decisions in.
-pub struct ClusterPlan {
+/// apply step walks them in.
+struct ClusterPlan {
     /// Resolved union-find root per mention node.
     root_of: FxHashMap<NodeId, NodeId>,
     /// Clusters in first-appearance order.
-    pub clusters: Vec<Cluster>,
+    clusters: Vec<Cluster>,
 }
 
 /// One mention cluster of a [`ClusterPlan`].
-pub struct Cluster {
+struct Cluster {
     /// The cluster's union-find root.
     root: NodeId,
     /// Member mention nodes, in `built.mentions` order.
     members: Vec<NodeId>,
-    /// Ownership key for sharded canonicalization: the hash of the
-    /// resolved canonical repository id when the cluster carries an
-    /// entity resolution, otherwise a novel-cluster key (fingerprint of
-    /// the member mention texts). Deciding a cluster is a pure function
-    /// of the stage-1 artifact, so any shard that owns this key computes
-    /// the same [`ClusterDecision`].
-    pub ownership: u64,
 }
 
 /// What canonicalization decided for one mention cluster — everything the
-/// serial, KB-state-dependent apply step needs, computed without touching
-/// the KB (and therefore computable on any shard, in any order).
-pub enum ClusterDecision {
+/// KB-state-dependent apply step needs, computed without touching the KB.
+enum ClusterDecision {
     /// A standalone time mention.
     Time(String),
     /// Linked to the entity repository with the given confidence; the
@@ -116,9 +108,9 @@ pub enum ClusterDecision {
 }
 
 /// Computes the cluster layout of one document (union-find over surviving
-/// `sameAs` edges plus per-cluster ownership keys). Pure in the stage-1
-/// artifact; cheap relative to deciding and applying.
-pub fn plan_clusters(built: &BuiltGraph, outcome: &DensifyOutcome) -> ClusterPlan {
+/// `sameAs` edges). Pure in the stage-1 artifact; cheap relative to
+/// deciding and applying.
+fn plan_clusters(built: &BuiltGraph) -> ClusterPlan {
     let g = &built.graph;
     let mut parent: FxHashMap<NodeId, NodeId> = built.mentions.iter().map(|&n| (n, n)).collect();
     fn find(parent: &mut FxHashMap<NodeId, NodeId>, mut x: NodeId) -> NodeId {
@@ -150,36 +142,18 @@ pub fn plan_clusters(built: &BuiltGraph, outcome: &DensifyOutcome) -> ClusterPla
             clusters.push(Cluster {
                 root,
                 members: Vec::new(),
-                ownership: 0,
             });
             clusters.len() - 1
         });
         clusters[idx].members.push(n);
-    }
-    for cluster in &mut clusters {
-        let resolved = cluster
-            .members
-            .iter()
-            .filter_map(|n| outcome.resolutions.get(n))
-            .find_map(|r| r.entity);
-        cluster.ownership = match resolved {
-            Some(e) => qkb_util::fingerprint64(&(e.index() as u64).to_le_bytes()),
-            None => {
-                qkb_util::fingerprint_seq(cluster.members.iter().filter_map(|&n| match g.node(n) {
-                    NodeKind::NounPhrase { text, .. } => Some(text.as_str()),
-                    _ => None,
-                }))
-            }
-        };
     }
     ClusterPlan { root_of, clusters }
 }
 
 /// Decides one cluster: linked, emerging, literal or time. A pure
 /// function of the stage-1 artifact and the shared repositories — never
-/// reads or writes the KB — so shards can decide clusters concurrently
-/// and the document-order reduce stays byte-identical to the serial fold.
-pub fn decide_cluster(
+/// reads or writes the KB.
+fn decide_cluster(
     built: &BuiltGraph,
     outcome: &DensifyOutcome,
     repo: &EntityRepository,
@@ -270,8 +244,9 @@ pub fn decide_cluster(
     }
 }
 
-/// Canonicalizes one densified document graph into the shared KB (the
-/// serial fold: plan, decide every cluster in order, apply).
+/// Canonicalizes one densified document graph into the shared KB: plan
+/// the clusters, decide every cluster in order, apply. Must be called in
+/// document order for deterministic KB identifiers.
 pub fn canonicalize_into(
     kb: &mut OnTheFlyKb,
     built: &BuiltGraph,
@@ -281,7 +256,7 @@ pub fn canonicalize_into(
     config: CanonConfig,
     doc_idx: u32,
 ) -> DocCanonOutput {
-    let plan = plan_clusters(built, outcome);
+    let plan = plan_clusters(built);
     let decisions: Vec<ClusterDecision> = plan
         .clusters
         .iter()
@@ -290,14 +265,10 @@ pub fn canonicalize_into(
     apply_decisions(kb, built, &plan, &decisions, patterns, config, doc_idx)
 }
 
-/// The serial, KB-state-dependent half of canonicalization: allocates KB
-/// entity ids and emits facts by walking the plan's clusters **in plan
-/// order** with their precomputed decisions. Must be called in document
-/// order for deterministic KB identifiers — this is the document-order
-/// reduce of the sharded merge, and with decisions computed serially it
-/// *is* the serial fold, so both paths are byte-identical by
-/// construction.
-pub fn apply_decisions(
+/// The KB-state-dependent half of canonicalization: allocates KB entity
+/// ids and emits facts by walking the plan's clusters **in plan order**
+/// with their decisions.
+fn apply_decisions(
     kb: &mut OnTheFlyKb,
     built: &BuiltGraph,
     plan: &ClusterPlan,

@@ -12,10 +12,7 @@
 //! pre-processing).
 
 use crate::build::{build_graph, BuildConfig, BuiltGraph, GraphArg, GraphClause};
-use crate::canonicalize::{
-    apply_decisions, canonicalize_into, decide_cluster, plan_clusters, CanonConfig,
-    ClusterDecision, ClusterPlan, DocCanonOutput,
-};
+use crate::canonicalize::{canonicalize_into, CanonConfig, DocCanonOutput};
 use crate::decompose::{densify_decomposed, resolve_ilp_decomposed};
 use crate::densify::DensifyOutcome;
 use crate::densify::{
@@ -76,18 +73,6 @@ pub struct QkbflyConfig {
     /// canonicalized KB is byte-identical for every setting (per-document
     /// outputs are merged in document order).
     pub parallelism: usize,
-    /// Ownership shards for the **merge phase** (canonicalization):
-    /// `1` (the default) is the serial document-order fold; `n > 1`
-    /// computes per-cluster canonicalization decisions on `n` worker
-    /// threads — clusters are sharded by entity-cluster ownership (hash
-    /// of the resolved canonical repository id, or of the novel
-    /// cluster's mention texts) — and then applies them in a
-    /// deterministic document-order reduce; `0` uses all available
-    /// cores. The canonicalized KB is **byte-identical** to the serial
-    /// fold at any shard count (property-tested at 1/2/8 and gated in
-    /// CI), because deciding a cluster is a pure function of the
-    /// stage-1 artifact and only the serial reduce allocates KB ids.
-    pub merge_parallelism: usize,
     /// Worker threads for the **resolve stage** of a single document:
     /// the coupling graph is decomposed into independent components
     /// (see [`crate::decompose`]) and component solves fan out over
@@ -121,7 +106,6 @@ impl Default for QkbflyConfig {
             pronoun_window: 5,
             emit_nary: true,
             parallelism: 0,
-            merge_parallelism: 1,
             resolve_parallelism: 1,
             resolve_decomposition: true,
             ilp_node_budget: 0,
@@ -149,7 +133,8 @@ impl StageTimings {
         self.preprocess + self.graph + self.resolve + self.canonicalize
     }
 
-    fn add(&mut self, other: &StageTimings) {
+    /// Accumulates another document's (or build's) timings into these.
+    pub fn add(&mut self, other: &StageTimings) {
         self.preprocess += other.preprocess;
         self.graph += other.graph;
         self.resolve += other.resolve;
@@ -295,18 +280,22 @@ pub struct ExtendOutcome {
     /// this call's wall clock, the earlier slots carry the artifacts'
     /// original compute cost (their provenance).
     pub timings: StageTimings,
+    /// Summed resolve-stage counters of the merged documents (again the
+    /// artifacts' provenance: a cached artifact reports the work its
+    /// original computation did).
+    pub resolve: ResolveCounters,
 }
 
 /// The output of the pure per-document phase (preprocessing, semantic
 /// graph, joint NED+CR) — everything that can run concurrently across
-/// the documents of a batch. Feed it to [`Qkbfly::merge_doc`] in document
+/// the documents of a batch. Feed it to [`Qkbfly::extend_kb`] in document
 /// order to obtain the canonicalized KB.
 ///
 /// The artifact is fully owned (no borrowed lifetimes) and depends only
 /// on the document text and the system configuration — not on the
 /// document's position in a batch — so it can sit behind an
-/// `Arc<DocStage1>` in a per-document cache and be re-merged into any
-/// number of fragments ([`Qkbfly::assemble_from`]).
+/// `Arc<DocStage1>` in a per-document cache and be merged into any
+/// number of KBs.
 pub struct DocStage1 {
     /// Fingerprint of the source document text
     /// (`qkb_util::fingerprint64`) — the artifact's identity for
@@ -360,14 +349,15 @@ impl DocStage1 {
 
 /// A compute-or-lookup source of per-document stage-1 artifacts.
 ///
-/// [`Qkbfly::build_kb_with`] and [`Qkbfly::build_kb_grouped_with`] ask a
-/// provider for each document's artifact instead of unconditionally
-/// running [`Qkbfly::process_doc_stage1`]; a caching provider (the
-/// serving layer's per-document LRU) returns memoized artifacts for
-/// documents it has seen. Because stage 1 is a pure function of the
-/// document text under a fixed configuration, any provider that returns
-/// `qkb.process_doc_stage1(text)` — fresh or memoized — preserves the
-/// byte-identity of the assembled KB with a cold build.
+/// [`Qkbfly::build_kb_with`], [`Qkbfly::stream_into_kb`] and
+/// [`Qkbfly::provide_stage1`] ask a provider for each document's artifact
+/// instead of unconditionally running [`Qkbfly::process_doc_stage1`]; a
+/// caching provider (the serving layer's per-document LRU) returns
+/// memoized artifacts for documents it has seen. Because stage 1 is a
+/// pure function of the document text under a fixed configuration, any
+/// provider that returns `qkb.process_doc_stage1(text)` — fresh or
+/// memoized — preserves the byte-identity of the built KB with a cold
+/// build.
 ///
 /// Providers are called concurrently from the per-document fan-out and
 /// must be `Sync`.
@@ -383,45 +373,6 @@ pub struct ComputeStage1;
 impl Stage1Provider for ComputeStage1 {
     fn provide(&self, qkb: &Qkbfly, text: &str) -> Arc<DocStage1> {
         Arc::new(qkb.process_doc_stage1(text))
-    }
-}
-
-/// Streaming compute-or-lookup for the serial build paths: documents
-/// that occur more than once in the batch are memoized so duplicates
-/// share one artifact (and one provide call), while unique documents —
-/// the overwhelmingly common case — pass straight through without being
-/// retained, preserving the serial paths' one-artifact-resident memory
-/// profile.
-struct SeqProvider<'a, P: ?Sized> {
-    qkb: &'a Qkbfly,
-    provider: &'a P,
-    /// Occurrence count per text; only texts counted > 1 are memoized.
-    occurrences: FxHashMap<&'a str, u32>,
-    memo: FxHashMap<&'a str, Arc<DocStage1>>,
-}
-
-impl<'a, P: Stage1Provider + ?Sized> SeqProvider<'a, P> {
-    fn new(qkb: &'a Qkbfly, provider: &'a P, texts: impl Iterator<Item = &'a String>) -> Self {
-        let mut occurrences: FxHashMap<&'a str, u32> = FxHashMap::default();
-        for text in texts {
-            *occurrences.entry(text.as_str()).or_insert(0) += 1;
-        }
-        Self {
-            qkb,
-            provider,
-            occurrences,
-            memo: FxHashMap::default(),
-        }
-    }
-
-    fn provide(&mut self, text: &'a str) -> Arc<DocStage1> {
-        if self.occurrences.get(text).copied().unwrap_or(0) <= 1 {
-            return self.provider.provide(self.qkb, text);
-        }
-        self.memo
-            .entry(text)
-            .or_insert_with(|| self.provider.provide(self.qkb, text))
-            .clone()
     }
 }
 
@@ -445,12 +396,13 @@ pub struct BuildCounters {
 }
 
 impl BuildCounters {
-    /// KB builds started so far (a grouped build counts once per group).
+    /// KB builds started so far ([`Qkbfly::build_kb_with`] and
+    /// [`Qkbfly::extend_kb`] calls).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Documents fed through builds so far (assembled or computed).
+    /// Documents merged by builds so far (repeats are merged once).
     pub fn docs(&self) -> u64 {
         self.docs.load(Ordering::Relaxed)
     }
@@ -587,13 +539,6 @@ impl Qkbfly {
         self.with_config_override(|c| c.parallelism = workers)
     }
 
-    /// A new handle with the given merge-phase shard count
-    /// ([`QkbflyConfig::merge_parallelism`]), sharing the repositories
-    /// with `self`. The built KB is byte-identical at any shard count.
-    pub fn with_merge_parallelism(&self, shards: usize) -> Self {
-        self.with_config_override(|c| c.merge_parallelism = shards)
-    }
-
     /// A new handle with the given resolve-stage worker count
     /// ([`QkbflyConfig::resolve_parallelism`]), sharing the repositories
     /// with `self`. The built KB is byte-identical at any worker count.
@@ -653,151 +598,109 @@ impl Qkbfly {
     /// Builds an on-the-fly KB from the input documents (the paper's
     /// query-time path: documents were already retrieved for the query).
     ///
-    /// The per-document phase ([`Qkbfly::process_doc_stage1`]) fans out
-    /// over [`QkbflyConfig::parallelism`] worker threads; the merge phase
-    /// ([`Qkbfly::merge_doc`]) then folds the per-document outputs into
-    /// the shared KB **in document order**, so the result is byte-identical
-    /// to the serial path for any worker count.
+    /// A cold build is a stream into an empty KB: repeated documents are
+    /// dropped (first occurrence wins), the per-document phase
+    /// ([`Qkbfly::process_doc_stage1`]) fans out over
+    /// [`QkbflyConfig::parallelism`] worker threads, and the fold that
+    /// [`Qkbfly::extend_kb`] runs canonicalizes the artifacts into the KB
+    /// **in document order**, so the result is byte-identical for any
+    /// worker count.
     pub fn build_kb(&self, docs: &[String]) -> BuildResult<'_> {
         self.build_kb_with(&ComputeStage1, docs)
     }
 
     /// [`Qkbfly::build_kb`] with stage-1 artifacts drawn from `provider`
-    /// (compute-or-lookup) instead of always computed. Duplicate documents
-    /// within the batch are provided once and share one artifact.
+    /// (compute-or-lookup) instead of always computed.
     ///
     /// **Invariant:** for any provider that honors the [`Stage1Provider`]
-    /// contract, the result is byte-identical to a cold `build_kb` over
-    /// the same documents in the same order — the merge phase alone
-    /// assigns document indices and canonical KB identifiers.
+    /// contract, the KB is byte-identical to [`Qkbfly::stream_into_kb`]
+    /// of `docs` into [`OnTheFlyKb::new`] — and therefore to any series
+    /// of `extend_kb` turns over the same first-occurrence-deduped
+    /// sequence. The result additionally carries the assessment records
+    /// and per-document diagnostics of the merged documents; their `doc`
+    /// index is the position in the deduped sequence.
     pub fn build_kb_with(
         &self,
         provider: &(impl Stage1Provider + ?Sized),
         docs: &[String],
     ) -> BuildResult<'_> {
-        self.counters.record(1, docs.len() as u64);
         let mut span = self.recorder.span("build_kb");
         span.field("docs", docs.len());
-        let workers = qkb_util::effective_parallelism(self.config.parallelism);
-        if workers <= 1 || docs.len() <= 1 {
-            // Serial path: provide-and-merge one document at a time —
-            // only duplicated documents' artifacts are retained for
-            // sharing, so an all-distinct batch keeps a single
-            // document's stage-1 state resident.
-            let mut seq = SeqProvider::new(self, provider, docs.iter());
-            self.assemble(docs.iter().map(move |text| seq.provide(text)))
-        } else {
-            self.assemble(self.provide_all(provider, docs.iter(), workers).into_iter())
+        let mut kb = OnTheFlyKb::new();
+        let artifacts = self.provide_stage1(provider, self.fresh_texts(&kb, docs));
+        let merged = self.merge_in_order(&mut kb, &artifacts);
+        self.counters.record(1, merged.len() as u64);
+        let mut result = BuildResult {
+            kb,
+            records: Vec::new(),
+            links: Vec::new(),
+            timings: StageTimings::default(),
+            per_doc: Vec::with_capacity(merged.len()),
+            patterns: &self.patterns,
+        };
+        for (doc, (out, diag)) in merged.into_iter().enumerate() {
+            result.timings.add(&diag.timings);
+            result.records.extend(out.extractions.into_iter().map(
+                |(extraction, kept, slot_entities)| ExtractionRecord {
+                    doc,
+                    extraction,
+                    kept,
+                    slot_entities,
+                },
+            ));
+            result.links.extend(out.links.into_iter().map(
+                |(sentence, phrase, entity, confidence)| LinkRecord {
+                    doc,
+                    sentence,
+                    phrase,
+                    entity,
+                    confidence,
+                },
+            ));
+            result.per_doc.push(diag);
         }
-    }
-
-    /// Builds one on-the-fly KB **per document group**, fanning the pure
-    /// per-document phase out over the union of all groups' documents.
-    ///
-    /// This is the admission-batching entry point of the serving layer:
-    /// several queued queries (each with its own retrieved-document set)
-    /// share one parallel fan-out instead of paying the ramp-up per query.
-    /// Each group is merged independently in its own document order, so
-    /// every returned `BuildResult` is **byte-identical** to what
-    /// `build_kb` would produce for that group alone.
-    pub fn build_kb_grouped(&self, groups: &[Vec<String>]) -> Vec<BuildResult<'_>> {
-        self.build_kb_grouped_with(&ComputeStage1, groups)
-    }
-
-    /// [`Qkbfly::build_kb_grouped`] with stage-1 artifacts drawn from
-    /// `provider`. The union of all groups' documents is de-duplicated
-    /// first, so a document retrieved by several queued queries runs (or
-    /// is looked up) exactly once per batch, and every group is assembled
-    /// from the shared artifacts. Byte-identity with per-group cold
-    /// builds holds as for [`Qkbfly::build_kb_with`].
-    pub fn build_kb_grouped_with(
-        &self,
-        provider: &(impl Stage1Provider + ?Sized),
-        groups: &[Vec<String>],
-    ) -> Vec<BuildResult<'_>> {
-        let total_docs: usize = groups.iter().map(Vec::len).sum();
-        self.counters.record(groups.len() as u64, total_docs as u64);
-        let mut span = self.recorder.span("build_kb_grouped");
-        span.field("groups", groups.len());
-        span.field("docs", total_docs);
-        let workers = qkb_util::effective_parallelism(self.config.parallelism);
-        if workers <= 1 || total_docs <= 1 {
-            // Serial path: stream provide-and-merge group by group,
-            // sharing artifacts across the batch's duplicate documents
-            // without materializing the whole union.
-            let mut seq = SeqProvider::new(self, provider, groups.iter().flatten());
-            return groups
-                .iter()
-                .map(|docs| self.assemble(docs.iter().map(|text| seq.provide(text))))
-                .collect();
-        }
-        let mut stage1 = self
-            .provide_all(provider, groups.iter().flatten(), workers)
-            .into_iter();
-        groups
-            .iter()
-            .map(|docs| self.assemble(stage1.by_ref().take(docs.len())))
-            .collect()
-    }
-
-    /// Assembles one on-the-fly KB from already-provided stage-1
-    /// artifacts, merged **in slice order** — the incremental-construction
-    /// entry point. The artifacts are shared, not consumed: the same
-    /// `Arc<DocStage1>` can appear in any number of assemblies (and any
-    /// position), and the output is byte-identical to a cold
-    /// [`Qkbfly::build_kb`] over the same documents in the same order.
-    pub fn assemble_from(&self, stage1: &[Arc<DocStage1>]) -> BuildResult<'_> {
-        self.counters.record(1, stage1.len() as u64);
-        self.assemble(stage1.iter().cloned())
+        result
     }
 
     /// The **incremental canonicalizer**: streams new stage-1 artifacts
-    /// into an *existing* KB, continuing the deterministic document-order
-    /// fold a cold build performs — the session-scoped serving path's
-    /// "extend, don't rebuild" primitive.
+    /// into an existing KB, continuing the deterministic document-order
+    /// fold — the one fold every KB is built by (a cold build folds into
+    /// [`OnTheFlyKb::new`]).
     ///
     /// Artifacts whose document is already resident in `kb` (by text
-    /// fingerprint) are **skipped idempotently**; fresh artifacts are
-    /// merged in slice order with the next free provenance index. Because
-    /// [`qkb_kb::OnTheFlyKb`] is append-only — entities and facts are only
-    /// ever pushed, and [`qkb_kb::OnTheFlyKb::add_linked`] resolves a
-    /// repository entity seen before to its existing id — extending never
-    /// renumbers an existing entity id or rewrites an existing fact:
-    /// the KB before the call is a strict prefix of the KB after.
+    /// fingerprint) or repeated within the slice are **skipped
+    /// idempotently**; fresh artifacts are merged in slice order with the
+    /// next free provenance index. Because [`qkb_kb::OnTheFlyKb`] is
+    /// append-only — entities and facts are only ever pushed, and
+    /// [`qkb_kb::OnTheFlyKb::add_linked`] resolves a repository entity
+    /// seen before to its existing id — extending never renumbers an
+    /// existing entity id or rewrites an existing fact: the KB before the
+    /// call is a strict prefix of the KB after.
     ///
-    /// **Union equivalence:** streaming a duplicate-free document
-    /// sequence through any series of `extend_kb` calls (any split, any
-    /// per-turn parallelism used to *provide* the artifacts) produces a
-    /// KB byte-identical to one cold [`Qkbfly::build_kb`] over the whole
-    /// sequence, because both paths execute the same
-    /// [`Qkbfly::merge_doc_ref`] folds in the same order with the same
-    /// indices (property-tested in `tests/properties.rs`).
+    /// **Union equivalence:** streaming a document sequence through any
+    /// series of `extend_kb` calls (any split, any per-turn parallelism
+    /// used to *provide* the artifacts) produces a KB byte-identical to
+    /// one cold [`Qkbfly::build_kb`] over the whole sequence, because
+    /// both run the same fold over the same first-occurrence-deduped
+    /// documents in the same order (property-tested in
+    /// `tests/properties.rs`).
     ///
-    /// `kb` must have been grown exclusively by the recording builders
-    /// (`build_kb*`, [`Qkbfly::assemble_from`], `extend_kb` — starting
-    /// from [`qkb_kb::OnTheFlyKb::new`]), so its document registry and
+    /// `kb` must have been grown exclusively by this fold (starting from
+    /// [`qkb_kb::OnTheFlyKb::new`]), so its document registry and
     /// provenance indices agree.
     pub fn extend_kb(&self, kb: &mut OnTheFlyKb, stage1: &[Arc<DocStage1>]) -> ExtendOutcome {
         let mut span = self.recorder.span("extend_kb");
         let mut outcome = ExtendOutcome::default();
-        // Select the fresh artifacts up front (resident documents and
-        // repeats within the slice are skipped idempotently), so the
-        // sharded merge can decide all their clusters in one fan-out.
         let mut in_call: qkb_util::FxHashSet<u64> = qkb_util::FxHashSet::default();
         let fresh: Vec<Arc<DocStage1>> = stage1
             .iter()
-            .filter(|a| {
-                if kb.contains_doc(a.fingerprint) || !in_call.insert(a.fingerprint) {
-                    outcome.skipped += 1;
-                    false
-                } else {
-                    true
-                }
-            })
+            .filter(|a| !kb.contains_doc(a.fingerprint) && in_call.insert(a.fingerprint))
             .cloned()
             .collect();
+        outcome.skipped = stage1.len() - fresh.len();
         for (_, diag) in self.merge_in_order(kb, &fresh) {
             outcome.timings.add(&diag.timings);
+            outcome.resolve.add(&diag.resolve);
             outcome.merged += 1;
         }
         self.counters.record(1, outcome.merged as u64);
@@ -822,20 +725,8 @@ impl Qkbfly {
     ) -> ExtendOutcome {
         let mut span = self.recorder.span("stream_into_kb");
         span.field("docs", texts.len());
-        let mut in_call: qkb_util::FxHashSet<u64> = qkb_util::FxHashSet::default();
-        let mut resident = 0usize;
-        let fresh: Vec<&String> = texts
-            .iter()
-            .filter(|text| {
-                let fp = qkb_util::fingerprint64(text.as_bytes());
-                if kb.contains_doc(fp) || !in_call.insert(fp) {
-                    resident += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
+        let fresh = self.fresh_texts(kb, texts);
+        let resident = texts.len() - fresh.len();
         let artifacts = self.provide_stage1(provider, fresh);
         let mut outcome = self.extend_kb(kb, &artifacts);
         outcome.skipped += resident;
@@ -843,35 +734,36 @@ impl Qkbfly {
         outcome
     }
 
+    /// The documents of `texts` a fold into `kb` would merge: first
+    /// occurrences (by text fingerprint) not already resident in `kb`,
+    /// in slice order.
+    fn fresh_texts<'t>(&self, kb: &OnTheFlyKb, texts: &'t [String]) -> Vec<&'t String> {
+        let mut seen: qkb_util::FxHashSet<u64> = qkb_util::FxHashSet::default();
+        texts
+            .iter()
+            .filter(|text| {
+                let fp = qkb_util::fingerprint64(text.as_bytes());
+                !kb.contains_doc(fp) && seen.insert(fp)
+            })
+            .collect()
+    }
+
     /// Provides stage-1 artifacts for `texts` in order through `provider`
-    /// (compute-or-lookup), fanning distinct documents out over
-    /// [`QkbflyConfig::parallelism`] workers exactly like the build entry
-    /// points — the public half of the provide+merge split for callers
-    /// that merge through [`Qkbfly::extend_kb`] instead of assembling a
-    /// fresh KB.
+    /// (compute-or-lookup), de-duplicated by text: each distinct document
+    /// is provided exactly once — fanned out over
+    /// [`QkbflyConfig::parallelism`] workers when it pays — and
+    /// duplicates share the Arc. The provide half of every build; the
+    /// merge half is [`Qkbfly::extend_kb`].
     pub fn provide_stage1<'t>(
         &self,
         provider: &(impl Stage1Provider + ?Sized),
         texts: impl IntoIterator<Item = &'t String>,
     ) -> Vec<Arc<DocStage1>> {
         let workers = qkb_util::effective_parallelism(self.config.parallelism);
-        self.provide_all(provider, texts.into_iter(), workers)
-    }
-
-    /// Provides stage-1 artifacts for `texts` in order, de-duplicated by
-    /// text: each distinct document is provided exactly once (fanned out
-    /// over `workers` threads when it pays) and duplicates share the Arc.
-    fn provide_all<'t>(
-        &self,
-        provider: &(impl Stage1Provider + ?Sized),
-        texts: impl Iterator<Item = &'t String>,
-        workers: usize,
-    ) -> Vec<Arc<DocStage1>> {
-        let texts: Vec<&String> = texts.collect();
         let mut unique: Vec<&String> = Vec::new();
         let mut slot_of: FxHashMap<&str, usize> = FxHashMap::default();
         let slots: Vec<usize> = texts
-            .iter()
+            .into_iter()
             .map(|text| {
                 *slot_of.entry(text.as_str()).or_insert_with(|| {
                     unique.push(text);
@@ -896,76 +788,6 @@ impl Qkbfly {
         slots.into_iter().map(|s| provided[s].clone()).collect()
     }
 
-    /// Folds per-document stage-1 outputs, **in document order**, into one
-    /// canonicalized KB with its assessment records and diagnostics.
-    ///
-    /// With [`QkbflyConfig::merge_parallelism`] ≤ 1 this streams the
-    /// iterator (one artifact resident at a time on the serial provide
-    /// paths); with more shards the artifacts are collected and their
-    /// cluster decisions computed on ownership shards before the same
-    /// document-order reduce runs — byte-identical either way.
-    fn assemble(&self, stage1_seq: impl Iterator<Item = Arc<DocStage1>>) -> BuildResult<'_> {
-        let mut kb = OnTheFlyKb::new();
-        let mut records = Vec::new();
-        let mut links = Vec::new();
-        let mut timings = StageTimings::default();
-        let mut per_doc = Vec::new();
-        let mut fold = |d: usize, out: DocCanonOutput, diag: DocResult| {
-            timings.add(&diag.timings);
-            for (extraction, kept, slot_entities) in out.extractions {
-                records.push(ExtractionRecord {
-                    doc: d,
-                    extraction,
-                    kept,
-                    slot_entities,
-                });
-            }
-            for (sentence, phrase, entity, confidence) in out.links {
-                links.push(LinkRecord {
-                    doc: d,
-                    sentence,
-                    phrase,
-                    entity,
-                    confidence,
-                });
-            }
-            per_doc.push(diag);
-        };
-        if self.merge_shards() <= 1 {
-            for (d, stage1) in stage1_seq.enumerate() {
-                let (out, diag) = self.merge_doc_ref(&mut kb, &stage1, d as u32);
-                kb.record_doc(stage1.fingerprint);
-                fold(d, out, diag);
-            }
-        } else {
-            let artifacts: Vec<Arc<DocStage1>> = stage1_seq.collect();
-            for (d, (out, diag)) in self
-                .merge_in_order(&mut kb, &artifacts)
-                .into_iter()
-                .enumerate()
-            {
-                fold(d, out, diag);
-            }
-        }
-        BuildResult {
-            kb,
-            records,
-            links,
-            timings,
-            per_doc,
-            patterns: &self.patterns,
-        }
-    }
-
-    /// Effective merge-phase shard count (`merge_parallelism` resolved:
-    /// `0` = all cores, `1` = the serial fold).
-    fn merge_shards(&self) -> usize {
-        match self.config.merge_parallelism {
-            1 => 1,
-            n => qkb_util::effective_parallelism(n),
-        }
-    }
-
     /// The canonicalization parameters of this handle.
     fn canon_config(&self) -> CanonConfig {
         CanonConfig {
@@ -975,117 +797,20 @@ impl Qkbfly {
         }
     }
 
-    /// Merges `artifacts` into `kb` in slice order, continuing at the
-    /// KB's next provenance index — through the serial fold, or through
-    /// the sharded decide + document-order reduce when
-    /// [`QkbflyConfig::merge_parallelism`] asks for shards. Does **not**
+    /// The fold: merges `artifacts` into `kb` one at a time in slice
+    /// order, each at the KB's next provenance index. Does **not**
     /// de-duplicate: callers pass exactly the artifacts to merge.
     fn merge_in_order(
         &self,
         kb: &mut OnTheFlyKb,
         artifacts: &[Arc<DocStage1>],
     ) -> Vec<(DocCanonOutput, DocResult)> {
-        let shards = self.merge_shards();
-        if shards <= 1 {
-            return artifacts
-                .iter()
-                .map(|artifact| {
-                    let doc_idx = kb.n_docs() as u32;
-                    let merged = self.merge_doc_ref(kb, artifact, doc_idx);
-                    kb.record_doc(artifact.fingerprint);
-                    merged
-                })
-                .collect();
-        }
-        let planned = self.decide_sharded(artifacts, shards);
-        let canon = self.canon_config();
         artifacts
             .iter()
-            .zip(planned)
-            .map(|(artifact, (plan, decisions))| {
-                let doc_idx = kb.n_docs() as u32;
-                let mut diag = artifact.diag.clone();
-                let t = Instant::now();
-                let mut apply_span = self.recorder.span("canon_apply");
-                apply_span.field("doc", doc_idx);
-                let out = apply_decisions(
-                    kb,
-                    &artifact.built,
-                    &plan,
-                    &decisions,
-                    &self.patterns,
-                    canon,
-                    doc_idx,
-                );
-                drop(apply_span);
-                // The reduce's wall clock; the shards' decide time is
-                // concurrent and not attributed per document.
-                diag.timings.canonicalize = t.elapsed();
+            .map(|artifact| {
+                let merged = self.merge_doc_ref(kb, artifact);
                 kb.record_doc(artifact.fingerprint);
-                (out, diag)
-            })
-            .collect()
-    }
-
-    /// The parallel half of the sharded merge: plans every document's
-    /// clusters, distributes the `(document, cluster)` work items over
-    /// `shards` ownership shards (`ownership % shards` — the hash of the
-    /// canonical repository id, or the novel-cluster key), and computes
-    /// each cluster's [`ClusterDecision`] concurrently. Decisions are
-    /// pure in the artifacts, so the scatter back into per-document,
-    /// plan-order vectors is deterministic regardless of shard count or
-    /// scheduling.
-    fn decide_sharded(
-        &self,
-        artifacts: &[Arc<DocStage1>],
-        shards: usize,
-    ) -> Vec<(ClusterPlan, Vec<ClusterDecision>)> {
-        let mut decide_span = self.recorder.span("canon_decide");
-        decide_span.field("shards", shards);
-        decide_span.field("docs", artifacts.len());
-        let canon = self.canon_config();
-        let plans: Vec<ClusterPlan> = qkb_util::par_map_ordered(artifacts, shards, |_, a| {
-            plan_clusters(&a.built, &a.outcome)
-        });
-        let mut shard_items: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
-        for (d, plan) in plans.iter().enumerate() {
-            for (c, cluster) in plan.clusters.iter().enumerate() {
-                shard_items[(cluster.ownership % shards as u64) as usize].push((d, c));
-            }
-        }
-        let decided: Vec<Vec<(usize, usize, ClusterDecision)>> =
-            qkb_util::par_map_ordered(&shard_items, shards, |_, items| {
-                items
-                    .iter()
-                    .map(|&(d, c)| {
-                        let artifact = &artifacts[d];
-                        let decision = decide_cluster(
-                            &artifact.built,
-                            &artifact.outcome,
-                            &self.repo,
-                            canon,
-                            &plans[d].clusters[c],
-                        );
-                        (d, c, decision)
-                    })
-                    .collect()
-            });
-        let mut decisions: Vec<Vec<Option<ClusterDecision>>> = plans
-            .iter()
-            .map(|p| p.clusters.iter().map(|_| None).collect())
-            .collect();
-        for (d, c, decision) in decided.into_iter().flatten() {
-            decisions[d][c] = Some(decision);
-        }
-        plans
-            .into_iter()
-            .zip(decisions)
-            .map(|(plan, ds)| {
-                let ds: Vec<ClusterDecision> = ds
-                    .into_iter()
-                    .map(|d| d.expect("every cluster owned by exactly one shard"))
-                    .collect();
-                (plan, ds)
+                merged
             })
             .collect()
     }
@@ -1227,27 +952,16 @@ impl Qkbfly {
         }
     }
 
-    /// The merge phase: canonicalizes one document's stage-1 output into
-    /// the shared KB. Must be called in document order for deterministic
-    /// KB identifiers.
-    pub fn merge_doc(
-        &self,
-        kb: &mut OnTheFlyKb,
-        stage1: DocStage1,
-        doc_idx: u32,
-    ) -> (DocCanonOutput, DocResult) {
-        self.merge_doc_ref(kb, &stage1, doc_idx)
-    }
-
-    /// [`Qkbfly::merge_doc`] over a borrowed artifact: the stage-1 output
-    /// is read, not consumed, so one cached `Arc<DocStage1>` can be merged
-    /// into any number of KBs.
-    pub fn merge_doc_ref(
+    /// One step of the fold: canonicalizes one document's stage-1 output
+    /// into `kb` at the KB's next provenance index. The artifact is read,
+    /// not consumed, so one cached `Arc<DocStage1>` can be merged into
+    /// any number of KBs.
+    fn merge_doc_ref(
         &self,
         kb: &mut OnTheFlyKb,
         stage1: &DocStage1,
-        doc_idx: u32,
     ) -> (DocCanonOutput, DocResult) {
+        let doc_idx = kb.n_docs() as u32;
         let mut diag = stage1.diag.clone();
         let t3 = Instant::now();
         let mut span = self.recorder.span("canonicalize");
@@ -1264,19 +978,6 @@ impl Qkbfly {
         drop(span);
         diag.timings.canonicalize = t3.elapsed();
         (out, diag)
-    }
-
-    /// Processes one document into the shared KB (stage 1 + merge in one
-    /// step — the serial building block, kept for harnesses that stream
-    /// documents one at a time).
-    pub fn process_doc(
-        &self,
-        kb: &mut OnTheFlyKb,
-        text: &str,
-        doc_idx: u32,
-    ) -> (DocCanonOutput, DocResult) {
-        let stage1 = self.process_doc_stage1(text);
-        self.merge_doc(kb, stage1, doc_idx)
     }
 }
 
@@ -1461,68 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_build_matches_individual_builds() {
-        let sys = system(Variant::Joint, SolverKind::Greedy);
-        let groups = vec![
-            vec![FIG2.to_string()],
-            vec![
-                "Brad Pitt supported the ONE Campaign.".to_string(),
-                "Pitt donated $100,000 to the Daniel Pearl Foundation.".to_string(),
-            ],
-            vec![],
-        ];
-        for workers in [1usize, 4] {
-            let handle = sys.with_parallelism(workers);
-            let grouped = handle.build_kb_grouped(&groups);
-            assert_eq!(grouped.len(), groups.len());
-            for (result, docs) in grouped.iter().zip(&groups) {
-                let solo = sys.build_kb(docs);
-                assert_eq!(
-                    result.kb.to_json(sys.patterns()).to_string(),
-                    solo.kb.to_json(sys.patterns()).to_string(),
-                    "grouped KB must be byte-identical to a solo build"
-                );
-                assert_eq!(result.records.len(), solo.records.len());
-                assert_eq!(result.per_doc.len(), docs.len());
-            }
-        }
-    }
-
-    #[test]
-    fn assemble_from_matches_cold_build_in_any_order() {
-        let sys = system(Variant::Joint, SolverKind::Greedy);
-        let docs = vec![
-            FIG2.to_string(),
-            "Brad Pitt supported the ONE Campaign.".to_string(),
-            "Pitt donated $100,000 to the Daniel Pearl Foundation.".to_string(),
-        ];
-        let stage1: Vec<Arc<DocStage1>> = docs
-            .iter()
-            .map(|t| Arc::new(sys.process_doc_stage1(t)))
-            .collect();
-        let kb_json = |r: &BuildResult<'_>| r.kb.to_json(sys.patterns()).to_string();
-        // Same order: assembled == cold, byte for byte.
-        let assembled = sys.assemble_from(&stage1);
-        let cold = sys.build_kb(&docs);
-        assert_eq!(kb_json(&assembled), kb_json(&cold));
-        assert_eq!(assembled.records.len(), cold.records.len());
-        // Reversed order: the same Arcs re-merge into the reversed build.
-        let rev: Vec<Arc<DocStage1>> = stage1.iter().rev().cloned().collect();
-        let rev_docs: Vec<String> = docs.iter().rev().cloned().collect();
-        assert_eq!(
-            kb_json(&sys.assemble_from(&rev)),
-            kb_json(&sys.build_kb(&rev_docs))
-        );
-        // A subset sharing artifacts with the full set still matches.
-        let pair = [stage1[0].clone(), stage1[2].clone()];
-        let pair_docs = vec![docs[0].clone(), docs[2].clone()];
-        assert_eq!(
-            kb_json(&sys.assemble_from(&pair)),
-            kb_json(&sys.build_kb(&pair_docs))
-        );
-    }
-
-    #[test]
     fn extend_kb_streams_to_the_cold_union_build() {
         let sys = system(Variant::Joint, SolverKind::Greedy);
         let docs = vec![
@@ -1598,63 +1237,24 @@ mod tests {
     #[test]
     fn duplicate_documents_in_a_batch_compute_stage1_once() {
         let sys = system(Variant::Joint, SolverKind::Greedy);
-        let before = sys.counters().stage1_computed();
-        let grouped = sys.build_kb_grouped(&[
-            vec![FIG2.to_string()],
-            vec![FIG2.to_string(), FIG2.to_string()],
-        ]);
-        assert_eq!(
-            sys.counters().stage1_computed() - before,
-            1,
-            "the grouped union must be de-duplicated"
-        );
-        // Both groups are still byte-identical to their solo builds.
-        let solo = sys.build_kb(&[FIG2.to_string(), FIG2.to_string()]);
-        assert_eq!(
-            grouped[1].kb.to_json(sys.patterns()).to_string(),
-            solo.kb.to_json(sys.patterns()).to_string()
-        );
-        assert_eq!(sys.counters().docs() - 3, solo.per_doc.len() as u64);
-    }
-
-    #[test]
-    fn sharded_merge_is_byte_identical_to_serial_fold() {
-        let sys = system(Variant::Joint, SolverKind::Greedy);
-        let docs = vec![
-            FIG2.to_string(),
-            "Brad Pitt supported the ONE Campaign.".to_string(),
-            "Pitt donated $100,000 to the Daniel Pearl Foundation.".to_string(),
-        ];
-        let serial = sys.build_kb(&docs);
-        let serial_json = serial.kb.to_json(sys.patterns()).to_string();
-        for shards in [2usize, 3, 8] {
-            let handle = sys.with_merge_parallelism(shards);
-            let sharded = handle.build_kb(&docs);
+        let a = FIG2.to_string();
+        let b = "Brad Pitt supported the ONE Campaign.".to_string();
+        let kb_json = |r: &BuildResult<'_>| r.kb.to_json(sys.patterns()).to_string();
+        for workers in [1usize, 4] {
+            let handle = sys.with_parallelism(workers);
+            let before = handle.counters().stage1_computed();
+            let repeated = handle.build_kb(&[a.clone(), a.clone(), b.clone()]);
             assert_eq!(
-                serial_json,
-                sharded.kb.to_json(sys.patterns()).to_string(),
-                "sharded merge diverged at {shards} shards"
+                handle.counters().stage1_computed() - before,
+                2,
+                "one stage-1 computation per distinct text (workers={workers})"
             );
-            assert_eq!(serial.records.len(), sharded.records.len());
-            assert_eq!(serial.links.len(), sharded.links.len());
-        }
-        // The streaming extend path shards identically.
-        let stage1: Vec<Arc<DocStage1>> = docs
-            .iter()
-            .map(|t| Arc::new(sys.process_doc_stage1(t)))
-            .collect();
-        for shards in [2usize, 8] {
-            let handle = sys.with_merge_parallelism(shards);
-            let mut kb = OnTheFlyKb::new();
-            let first = handle.extend_kb(&mut kb, &stage1[..2]);
-            assert_eq!((first.merged, first.skipped), (2, 0));
-            let second = handle.extend_kb(&mut kb, &stage1[1..]);
-            assert_eq!((second.merged, second.skipped), (1, 1));
-            assert_eq!(
-                kb.to_json(sys.patterns()).to_string(),
-                serial_json,
-                "sharded extend_kb diverged at {shards} shards"
-            );
+            // A repeat is merged once: the build equals the deduped one.
+            let deduped = handle.build_kb(&[a.clone(), b.clone()]);
+            assert_eq!(kb_json(&repeated), kb_json(&deduped), "workers={workers}");
+            assert_eq!(repeated.per_doc.len(), 2);
+            assert_eq!(repeated.records.len(), deduped.records.len());
+            assert_eq!(repeated.kb.n_docs(), 2);
         }
     }
 
@@ -1679,8 +1279,10 @@ mod tests {
         assert_eq!(sys.counters().builds(), 0);
         let _ = sys.build_kb(&[FIG2.to_string()]);
         let clone = sys.with_parallelism(2);
-        let _ = clone.build_kb_grouped(&[vec![FIG2.to_string()], vec![FIG2.to_string()]]);
-        // 1 direct build + 2 groups, all visible through either handle.
+        let stage1 = clone.provide_stage1(&ComputeStage1, [&FIG2.to_string()]);
+        let _ = clone.extend_kb(&mut OnTheFlyKb::new(), &stage1);
+        let _ = clone.extend_kb(&mut OnTheFlyKb::new(), &stage1);
+        // 1 direct build + 2 extends, all visible through either handle.
         assert_eq!(sys.counters().builds(), 3);
         assert_eq!(clone.counters().builds(), 3);
         assert_eq!(sys.counters().docs(), 3);

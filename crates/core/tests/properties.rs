@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use qkb_corpus::world::{World, WorldConfig};
 use qkb_kb::OnTheFlyKb;
-use qkbfly::{ComputeStage1, DocStage1, NodeKind, Qkbfly, QkbflyConfig, SolverKind, Variant};
+use qkbfly::{ComputeStage1, NodeKind, Qkbfly, QkbflyConfig, SolverKind, Variant};
 use std::sync::Arc;
 
 fn system(world: &World) -> Qkbfly {
@@ -89,115 +89,16 @@ proptest! {
         }
     }
 
-    /// Incremental-construction invariant: a KB assembled from memoized
-    /// per-document stage-1 artifacts is byte-identical to a cold
-    /// `build_kb` over the same documents in the same order — for random
-    /// document subsets, random orders, and every parallelism setting.
-    #[test]
-    fn assembled_kb_is_byte_identical_to_cold_build(
-        corpus_seed in 0u64..500,
-        picks in proptest::collection::vec(0usize..6, 1..6),
-    ) {
-        let world = World::generate(WorldConfig::default());
-        let sys = system(&world);
-        let pool: Vec<String> = qkb_corpus::docgen::wiki_corpus(&world, 6, corpus_seed)
-            .docs
-            .iter()
-            .map(|d| d.text.clone())
-            .collect();
-        // `picks` is an arbitrary multiset/order over the pool: subsets,
-        // permutations and repeats all arise from the same generator.
-        let docs: Vec<String> = picks.iter().map(|&i| pool[i % pool.len()].clone()).collect();
-        // Stage 1 memoized once per distinct document, like a cache would.
-        let mut memo: std::collections::HashMap<&str, Arc<DocStage1>> =
-            std::collections::HashMap::new();
-        let stage1: Vec<Arc<DocStage1>> = docs
-            .iter()
-            .map(|t| {
-                memo.entry(t.as_str())
-                    .or_insert_with(|| Arc::new(sys.process_doc_stage1(t)))
-                    .clone()
-            })
-            .collect();
-        let assembled = sys.assemble_from(&stage1);
-        let assembled_json = assembled.kb.to_json(sys.patterns()).to_string();
-        for parallelism in [1usize, 2, 8] {
-            let handle = sys.with_parallelism(parallelism);
-            let cold = handle.build_kb(&docs);
-            prop_assert_eq!(
-                &assembled_json,
-                &cold.kb.to_json(sys.patterns()).to_string(),
-                "assembled KB diverged from cold build at parallelism {}",
-                parallelism
-            );
-            prop_assert_eq!(assembled.records.len(), cold.records.len());
-            prop_assert_eq!(assembled.links.len(), cold.links.len());
-            prop_assert_eq!(assembled.per_doc.len(), cold.per_doc.len());
-        }
-    }
-
-    /// Sharded-canonicalization invariant: computing cluster decisions on
-    /// ownership shards (`QkbflyConfig::merge_parallelism`) and applying
-    /// them through the document-order reduce is byte-identical to the
-    /// serial fold — for random document multisets/orders, on both the
-    /// assembly path and the streaming `extend_kb` path, at shard counts
-    /// 1, 2 and 8.
-    #[test]
-    fn sharded_merge_is_byte_identical_at_any_shard_count(
-        corpus_seed in 0u64..500,
-        picks in proptest::collection::vec(0usize..6, 1..7),
-    ) {
-        let world = World::generate(WorldConfig::default());
-        let sys = system(&world);
-        let pool: Vec<String> = qkb_corpus::docgen::wiki_corpus(&world, 6, corpus_seed)
-            .docs
-            .iter()
-            .map(|d| d.text.clone())
-            .collect();
-        let docs: Vec<String> = picks.iter().map(|&i| pool[i % pool.len()].clone()).collect();
-        // Stage 1 once; every comparison below re-merges the same Arcs.
-        let stage1: Vec<Arc<DocStage1>> = sys.provide_stage1(&ComputeStage1, docs.iter());
-        let serial = sys.assemble_from(&stage1);
-        let serial_json = serial.kb.to_json(sys.patterns()).to_string();
-        for shards in [1usize, 2, 8] {
-            let handle = sys.with_merge_parallelism(shards);
-            let sharded = handle.assemble_from(&stage1);
-            prop_assert_eq!(
-                &serial_json,
-                &sharded.kb.to_json(sys.patterns()).to_string(),
-                "sharded assembly diverged from the serial fold at {} shards",
-                shards
-            );
-            prop_assert_eq!(serial.records.len(), sharded.records.len());
-            prop_assert_eq!(serial.links.len(), sharded.links.len());
-            // The streaming extend path shards identically: split the
-            // artifact sequence into two turns and compare with the
-            // serial extension of the same turns.
-            let mid = stage1.len() / 2;
-            let mut kb_serial = OnTheFlyKb::new();
-            sys.extend_kb(&mut kb_serial, &stage1[..mid]);
-            sys.extend_kb(&mut kb_serial, &stage1[mid..]);
-            let mut kb_sharded = OnTheFlyKb::new();
-            handle.extend_kb(&mut kb_sharded, &stage1[..mid]);
-            handle.extend_kb(&mut kb_sharded, &stage1[mid..]);
-            prop_assert_eq!(
-                &kb_serial.to_json(sys.patterns()).to_string(),
-                &kb_sharded.to_json(sys.patterns()).to_string(),
-                "sharded extend_kb diverged from the serial fold at {} shards",
-                shards
-            );
-        }
-    }
-
     /// Session-streaming invariant (union equivalence + id stability):
     /// splitting a random document sequence into arbitrary query turns
     /// and streaming each turn through `extend_kb` yields a KB
-    /// byte-identical to one cold `build_kb` of the de-duplicated union
-    /// in first-arrival order — at per-turn provide parallelism 1, 2 and
-    /// 8 — while already-resident documents are skipped idempotently and
-    /// existing entity ids / facts are never renumbered or rewritten by
-    /// an extension (the KB before a turn is a strict prefix of the KB
-    /// after it).
+    /// byte-identical to one cold `build_kb` of the whole sequence —
+    /// repeats included, since a cold build merges each distinct document
+    /// once in first-arrival order — at per-turn provide and cold-build
+    /// parallelism 1, 2 and 8, while already-resident documents are
+    /// skipped idempotently and existing entity ids / facts are never
+    /// renumbered or rewritten by an extension (the KB before a turn is a
+    /// strict prefix of the KB after it).
     #[test]
     fn streaming_extend_kb_matches_cold_union_build(
         corpus_seed in 0u64..500,
@@ -230,9 +131,22 @@ proptest! {
         }
         let cold = sys.build_kb(&union);
         let cold_json = cold.kb.to_json(sys.patterns()).to_string();
+        let all: Vec<String> = turns.iter().flatten().cloned().collect();
 
         for parallelism in [1usize, 2, 8] {
             let handle = sys.with_parallelism(parallelism);
+            // A cold build of the sequence with its repeats merges each
+            // distinct document once: it is the deduped union's build.
+            let repeated = handle.build_kb(&all);
+            prop_assert_eq!(
+                &repeated.kb.to_json(sys.patterns()).to_string(),
+                &cold_json,
+                "cold build with repeats diverged from the deduped one at parallelism {}",
+                parallelism
+            );
+            prop_assert_eq!(repeated.per_doc.len(), union.len());
+            prop_assert_eq!(repeated.records.len(), cold.records.len());
+            prop_assert_eq!(repeated.links.len(), cold.links.len());
             let mut kb = OnTheFlyKb::new();
             let mut total_merged = 0usize;
             let mut total_skipped = 0usize;

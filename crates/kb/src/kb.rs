@@ -366,9 +366,10 @@ impl OnTheFlyKb {
     }
 
     /// Records one merged document by the fingerprint of its text. Called
-    /// once per merge, in document order, by the builders
-    /// (`Qkbfly::assemble_from`, `build_kb`, `extend_kb`) — the number of
-    /// recorded documents is the next merge's provenance `doc` index.
+    /// once per merge, in document order, by the one fold every builder
+    /// runs (`Qkbfly::extend_kb`; `build_kb` folds into an empty KB) — the
+    /// number of recorded documents is the next merge's provenance `doc`
+    /// index.
     pub fn record_doc(&mut self, fingerprint: u64) {
         self.tip.merged_docs.push(fingerprint);
         self.tip.resident_docs.insert(fingerprint);

@@ -4,12 +4,12 @@
 //! sharded-store machinery) keyed by the fingerprint of a query's
 //! retrieved-document set. Repeats of a popular query — or different
 //! questions that retrieve the same documents — reuse the constructed
-//! [`KbFragment`] without any rebuild; queries whose sets merely
+//! fragment KB without any rebuild; queries whose sets merely
 //! *overlap* fall through to the per-document stage-1 tier
 //! ([`crate::Stage1Cache`]).
 
-use crate::engine::KbFragment;
 use crate::sharded::ShardedLru;
+use qkb_kb::OnTheFlyKb;
 use std::sync::Arc;
 
 /// Cache counter snapshot.
@@ -39,9 +39,9 @@ impl CacheCounters {
     }
 }
 
-/// A sharded, bounded, counted LRU over `Arc<KbFragment>`.
+/// A sharded, bounded, counted LRU over fragment KBs (`Arc<OnTheFlyKb>`).
 pub struct FragmentCache {
-    store: ShardedLru<Arc<KbFragment>>,
+    store: ShardedLru<Arc<OnTheFlyKb>>,
     capacity: usize,
 }
 
@@ -64,7 +64,7 @@ impl FragmentCache {
     }
 
     /// Counted lookup; promotes the fragment on a hit.
-    pub fn get(&self, key: u64) -> Option<Arc<KbFragment>> {
+    pub fn get(&self, key: u64) -> Option<Arc<OnTheFlyKb>> {
         self.store.get(key)
     }
 
@@ -72,7 +72,7 @@ impl FragmentCache {
     /// the caller's fast path already counted this logical lookup and
     /// promoted on its hit — see [`FragmentCache::reclassify_miss_as_hit`]
     /// for the race case). Does **not** perturb the LRU order.
-    pub fn peek_get(&self, key: u64) -> Option<Arc<KbFragment>> {
+    pub fn peek_get(&self, key: u64) -> Option<Arc<OnTheFlyKb>> {
         self.store.peek(key)
     }
 
@@ -86,7 +86,7 @@ impl FragmentCache {
     /// Inserts a fragment, counting capacity evictions (a same-key
     /// replacement is a refresh and a bounced-back insert lost nothing
     /// cached; neither counts).
-    pub fn insert(&self, key: u64, fragment: Arc<KbFragment>) {
+    pub fn insert(&self, key: u64, fragment: Arc<OnTheFlyKb>) {
         self.store.insert_weighted(key, fragment, 1);
     }
 
@@ -121,15 +121,9 @@ impl FragmentCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qkb_kb::OnTheFlyKb;
-    use qkbfly::StageTimings;
 
-    fn frag() -> Arc<KbFragment> {
-        Arc::new(KbFragment {
-            kb: OnTheFlyKb::new(),
-            timings: StageTimings::default(),
-            n_docs: 0,
-        })
+    fn frag() -> Arc<OnTheFlyKb> {
+        Arc::new(OnTheFlyKb::new())
     }
 
     #[test]

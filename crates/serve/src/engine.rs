@@ -2,40 +2,14 @@
 //!
 //! The server owns scheduling (sharding, coalescing, caching, batching)
 //! and delegates the three semantic steps of the paper's query-time path
-//! to an engine: retrieve documents for a query, build a KB fragment from
-//! them, extract answers from a fragment. `qkb_qa::QaSystem` is the
-//! production engine; tests can supply stubs.
+//! to an engine: retrieve documents for a query, hand out the QKBfly
+//! handle that builds a KB from them, extract answers from a KB.
+//! `qkb_qa::QaSystem` is the production engine; tests can supply stubs.
 
 use crate::request::{QueryKind, QueryRequest};
 use qkb_kb::OnTheFlyKb;
 use qkb_qa::QaSystem;
-use qkbfly::{BuildResult, Qkbfly, StageTimings};
-
-/// One constructed on-the-fly KB with its build diagnostics — the unit the
-/// fragment cache stores and overlapping queries share.
-pub struct KbFragment {
-    /// The canonicalized KB.
-    pub kb: OnTheFlyKb,
-    /// Per-stage build wall clock. For fragments assembled from cached
-    /// stage-1 artifacts the preprocess/graph/resolve slots carry the
-    /// *original* compute cost (the artifact's provenance), not this
-    /// build's wall clock — only canonicalize was paid again.
-    pub timings: StageTimings,
-    /// Documents the fragment was built from.
-    pub n_docs: usize,
-}
-
-impl KbFragment {
-    /// Wraps one build (cold, grouped or assembled) as a cacheable
-    /// fragment.
-    pub fn from_result(result: BuildResult<'_>) -> Self {
-        Self {
-            n_docs: result.per_doc.len(),
-            kb: result.kb,
-            timings: result.timings,
-        }
-    }
-}
+use qkbfly::Qkbfly;
 
 /// The semantic backend of the server.
 ///
@@ -65,16 +39,10 @@ pub trait QueryEngine: Send + Sync + 'static {
     }
 
     /// Answers for a request against any constructed on-the-fly KB —
-    /// a fragment's, or a session's accumulated one. Must be
+    /// a cached fragment, or a session's accumulated one. Must be
     /// deterministic in `(request, kb)` — the cache-hit/cold-build and
     /// session/cold-union byte-identity contracts both rest on this.
     fn answer_kb(&self, request: &QueryRequest, kb: &OnTheFlyKb) -> Vec<String>;
-
-    /// Answers for a request against a built fragment (the fragment
-    /// path's convenience over [`QueryEngine::answer_kb`]).
-    fn answer(&self, request: &QueryRequest, fragment: &KbFragment) -> Vec<String> {
-        self.answer_kb(request, &fragment.kb)
-    }
 }
 
 /// Engines can be shared: several servers (e.g. a baseline and a cached
@@ -98,10 +66,6 @@ impl<E: QueryEngine> QueryEngine for std::sync::Arc<E> {
 
     fn answer_kb(&self, request: &QueryRequest, kb: &OnTheFlyKb) -> Vec<String> {
         (**self).answer_kb(request, kb)
-    }
-
-    fn answer(&self, request: &QueryRequest, fragment: &KbFragment) -> Vec<String> {
-        (**self).answer(request, fragment)
     }
 }
 
@@ -140,10 +104,10 @@ impl QueryEngine for QaSystem {
     }
 }
 
-// Fragments are shared across shards through the cache; the engine is
+// Fragment KBs are shared across shards through the cache; the engine is
 // shared by every worker thread.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<KbFragment>();
+    assert_send_sync::<OnTheFlyKb>();
     assert_send_sync::<QaSystem>();
 };

@@ -15,16 +15,17 @@
 //!   by the fingerprint of the query's retrieved-document set (exact-set
 //!   reuse), fronted by a byte-bounded per-document stage-1 cache
 //!   ([`Stage1Cache`]): queries whose retrieved sets merely *overlap*
-//!   assemble their fragment from memoized per-document artifacts via
-//!   `Qkbfly::build_kb_grouped_with`, re-running stage 1 only for
-//!   never-seen documents; below both, a process-wide **component
+//!   build their fragment from memoized per-document artifacts
+//!   (`Qkbfly::provide_stage1` through the cache), re-running stage 1
+//!   only for never-seen documents; below both, a process-wide **component
 //!   resolve cache** ([`ComponentCache`]) memoizes solved coupling
 //!   components of the joint NED+CR problem, so even a *never-seen*
 //!   document skips the solver for components it shares with anything
 //!   resolved before (hit/miss/evict counters on all tiers);
 //! * **admission batching** — a time/count window groups queued distinct
-//!   queries into one `build_kb_grouped` call, exploiting the parallel
-//!   per-document fan-out;
+//!   queries into one build round: one `Qkbfly::provide_stage1` over the
+//!   union of their documents (the parallel per-document fan-out), then
+//!   one `Qkbfly::extend_kb` fold into an empty KB per query;
 //! * **session-scoped streaming KBs** — [`QkbServer::query_in_session`]
 //!   gives each client session a long-lived, monotonically growing KB
 //!   (the paper's interactive-exploration scenario, §6): successive
@@ -42,17 +43,19 @@
 //! * **tracing** — pass a live [`qkb_obs::Recorder`] in
 //!   [`ServeConfig::recorder`] and every request records a span tree
 //!   (admission wait, fragment-cache outcome, grouped build with the
-//!   core's per-stage and per-component spans nested inside, answer)
+//!   core's per-stage, per-component and fold spans nested inside,
+//!   answer)
 //!   exportable as Chrome-trace JSON via [`qkb_obs::chrome_trace`].
 //!
 //! Everything is built on `std::sync` channels, mutexes and threads —
 //! the offline vendor tree has no async runtime — mirroring the style of
 //! `qkb_util::par_map_ordered`.
 //!
-//! Determinism contract: fragments come from the deterministic grouped
-//! build and answers are a pure function of `(request, fragment)`, so a
-//! cache-hit or coalesced answer is **byte-identical** to a cold build's
-//! at any shard count (`tests/serving.rs` enforces this).
+//! Determinism contract: every KB — fragment or session — comes from the
+//! one deterministic document-order fold, and answers are a pure function
+//! of `(request, kb)`, so a cache-hit or coalesced answer is
+//! **byte-identical** to a cold build's at any shard count
+//! (`tests/serving.rs` enforces this).
 
 pub mod cache;
 pub mod component_cache;
@@ -65,7 +68,7 @@ pub mod stats;
 
 pub use cache::{CacheCounters, FragmentCache};
 pub use component_cache::{ComponentCache, ComponentCacheCounters};
-pub use engine::{KbFragment, QueryEngine};
+pub use engine::QueryEngine;
 pub use qkb_session::SessionStats;
 pub use request::{QueryKind, QueryRequest, QueryResponse, Served};
 pub use server::{LoggedTurn, QkbServer, ServeClient, ServeConfig, TurnLog};

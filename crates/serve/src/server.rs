@@ -6,14 +6,17 @@
 //!                  │ batch window      ├─ group batch by normalized query
 //!                  │ (time/count)      ├─ fragment cache?  ── hit ──► answer
 //!                  ▼                   ├─ in-flight table? ── wait ─► answer
-//!            [j1 j2 j3 …]             └─ one grouped build_kb for all misses
+//!            [j1 j2 j3 …]             └─ misses: provide_stage1(union)
+//!                                         then extend_kb(empty KB) per group
 //! ```
 //!
 //! Scheduling properties:
 //! * **admission batching** — a worker drains up to `batch_max` queued
 //!   requests within `batch_window` of the first, then builds every missing
-//!   fragment in **one** `build_kb_grouped` call, sharing PR 1's
-//!   per-document fan-out across distinct queries;
+//!   fragment in **one** round: a single `provide_stage1` over the union of
+//!   the groups' documents (the per-document fan-out, shared across
+//!   distinct queries), then one `extend_kb` fold into an empty KB per
+//!   group;
 //! * **request coalescing** — identical normalized queries in one batch
 //!   collapse to a single group, and a group whose fragment is already
 //!   being built by another shard waits on that build instead of starting
@@ -26,21 +29,23 @@
 //!   cache: a fragment miss whose documents overlap earlier queries is
 //!   *assembled* from memoized stage-1 artifacts, running the expensive
 //!   per-document phase only for documents never seen before;
-//! * **determinism** — fragments are built by the deterministic grouped
-//!   build (assembled fragments are byte-identical to cold ones) and
-//!   answers are a pure function of `(request, fragment)`, so a
-//!   cache-hit or assembled answer is byte-identical to a cold-build
-//!   answer at any shard count.
+//! * **determinism** — every fragment is the one deterministic
+//!   document-order fold into an empty KB (so an assembled fragment is
+//!   byte-identical to a cold build of the same documents) and answers
+//!   are a pure function of `(request, kb)`, so a cache-hit or assembled
+//!   answer is byte-identical to a cold-build answer at any shard count.
 
 use crate::cache::FragmentCache;
 use crate::component_cache::ComponentCache;
-use crate::engine::{KbFragment, QueryEngine};
+use crate::engine::QueryEngine;
 use crate::request::{QueryRequest, QueryResponse, Served};
 use crate::stage1_cache::Stage1Cache;
 use crate::stats::{ServeMetrics, ServeStats};
-use qkb_obs::{OpenSpan, Recorder};
+use qkb_kb::OnTheFlyKb;
+use qkb_obs::{OpenSpan, Recorder, SpanCtx};
 use qkb_session::{ForestConfig, SessionConfig, SessionManager};
 use qkb_util::FxHashMap;
+use qkbfly::{Qkbfly, ResolveCounters, StageTimings};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -308,7 +313,7 @@ enum SlotState {
     /// The leader is still building.
     Pending,
     /// Built and published.
-    Done(Arc<KbFragment>),
+    Done(Arc<OnTheFlyKb>),
     /// The leader died (panicked) before publishing; followers must
     /// build for themselves.
     Abandoned,
@@ -323,7 +328,7 @@ struct InFlightSlot {
 impl InFlightSlot {
     /// Blocks until the leader publishes; `None` means the leader died
     /// and the caller should build the fragment itself.
-    fn wait(&self) -> Option<Arc<KbFragment>> {
+    fn wait(&self) -> Option<Arc<OnTheFlyKb>> {
         let mut result = self.result.lock().expect("in-flight slot");
         loop {
             match &*result {
@@ -339,7 +344,7 @@ impl InFlightSlot {
 /// Outcome of asking the in-flight table who owns a fragment key.
 enum Claim {
     /// The fragment is already cached — no build needed.
-    Cached(Arc<KbFragment>),
+    Cached(Arc<OnTheFlyKb>),
     /// The caller owns the build.
     Leader,
     /// Another shard is building it; wait on the slot.
@@ -381,7 +386,7 @@ impl InFlightTable {
         Claim::Leader
     }
 
-    fn publish(&self, key: u64, fragment: Arc<KbFragment>, cache: &FragmentCache) {
+    fn publish(&self, key: u64, fragment: Arc<OnTheFlyKb>, cache: &FragmentCache) {
         let mut map = self.map.lock().expect("in-flight table");
         cache.insert(key, fragment.clone());
         if let Some(slot) = map.remove(&key) {
@@ -424,7 +429,7 @@ impl<E: QueryEngine> Shared<E> {
     /// A build handle configured like a worker shard's: private
     /// parallelism knob, the server's recorder, and the process-wide
     /// component resolve cache attached when enabled.
-    fn build_handle(&self) -> qkbfly::Qkbfly {
+    fn build_handle(&self) -> Qkbfly {
         let mut qkb = self
             .engine
             .qkbfly()
@@ -722,11 +727,64 @@ struct Group {
     jobs: Vec<Job>,
 }
 
-/// How a group's fragment was (or will be) obtained. `Waiting` keeps the
-/// retrieved doc ids so the follower can rebuild if the leader dies.
+/// How a group's fragment was (or will be) obtained, with its key and
+/// the retrieved-document count. `Waiting` keeps the retrieved doc ids
+/// so the follower can rebuild if the leader dies.
 enum Resolution {
-    Ready(Arc<KbFragment>, Served, u64),
+    Ready(Arc<OnTheFlyKb>, Served, u64, usize),
     Waiting(Arc<InFlightSlot>, u64, Vec<usize>),
+}
+
+/// One build round, traced as a `span` under `ctx`: provides the stage-1
+/// artifacts of every group's documents in a single `provide_stage1`
+/// call over their union (each distinct document provided once, through
+/// the per-document cache), then folds each group into an empty KB with
+/// `extend_kb` — the fold sessions extend with, so a fragment is
+/// byte-identical to a cold build of its documents. Records the round in
+/// the metrics.
+fn build_fragments<E: QueryEngine>(
+    shared: &Shared<E>,
+    qkb: &Qkbfly,
+    span: &'static str,
+    ctx: SpanCtx,
+    doc_groups: &[Vec<String>],
+) -> Vec<Arc<OnTheFlyKb>> {
+    let mut build_span = qkb.recorder().span_at(span, ctx);
+    build_span.field("groups", doc_groups.len());
+    // A group whose documents are already (partly) in the stage-1 cache
+    // is *assembled* rather than fully cold. Classify before building;
+    // probes don't touch LRU order or hit counters.
+    let assembled = doc_groups
+        .iter()
+        .filter(|docs| docs.iter().any(|t| shared.stage1.contains_text(t)))
+        .count() as u64;
+    build_span.field("assembled_groups", assembled);
+    let mut artifacts = qkb
+        .provide_stage1(&shared.stage1, doc_groups.iter().flatten())
+        .into_iter();
+    let mut timings = StageTimings::default();
+    let mut resolve = ResolveCounters::default();
+    let fragments = doc_groups
+        .iter()
+        .map(|docs| {
+            let group: Vec<_> = artifacts.by_ref().take(docs.len()).collect();
+            let mut kb = OnTheFlyKb::new();
+            let outcome = qkb.extend_kb(&mut kb, &group);
+            timings.add(&outcome.timings);
+            resolve.add(&outcome.resolve);
+            Arc::new(kb)
+        })
+        .collect();
+    let docs: usize = doc_groups.iter().map(Vec::len).sum();
+    shared.metrics.note_build_round(
+        doc_groups.len() as u64,
+        assembled,
+        docs as u64,
+        timings,
+        resolve,
+    );
+    build_span.field("docs", docs);
+    fragments
 }
 
 fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
@@ -827,7 +885,12 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                 // re-checked race-free under the in-flight lock.
                 if let Some(frag) = shared.cache.get(fkey) {
                     note_lookup("cache_hit", "fragment");
-                    resolutions.push(Some(Resolution::Ready(frag, Served::CacheHit, fkey)));
+                    resolutions.push(Some(Resolution::Ready(
+                        frag,
+                        Served::CacheHit,
+                        fkey,
+                        doc_ids.len(),
+                    )));
                     continue;
                 }
                 if !config.coalesce {
@@ -843,7 +906,12 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                         // miss and the claim.
                         note_lookup("cache_hit", "fragment");
                         shared.cache.reclassify_miss_as_hit();
-                        resolutions.push(Some(Resolution::Ready(frag, Served::CacheHit, fkey)));
+                        resolutions.push(Some(Resolution::Ready(
+                            frag,
+                            Served::CacheHit,
+                            fkey,
+                            doc_ids.len(),
+                        )));
                     }
                     Claim::Leader => {
                         note_lookup("lead_build", "stage1");
@@ -860,42 +928,19 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                 }
             }
 
-            // Admission batching: one grouped build for every miss. The
-            // union of the groups' documents is de-duplicated against the
-            // per-document stage-1 cache inside `build_kb_grouped_with` —
-            // only true misses run stage 1, and every group is assembled
-            // from the shared artifacts.
+            // Admission batching: one build round for every miss. The
+            // union of the groups' documents is provided once through the
+            // per-document stage-1 cache — only true misses run stage 1 —
+            // and every group folds the shared artifacts into its own KB.
+            // The round serves every leader group in the batch; its span
+            // hangs off the first one's request so the build tree (stage
+            // 1, resolve, canonicalize) has a request-rooted home.
             if !build_meta.is_empty() {
-                // The grouped build serves every leader group in the
-                // batch; its span hangs off the first one's request so
-                // the build tree (stage 1, resolve, canonicalize) has a
-                // request-rooted home. Ambient nesting parents the core
-                // `build_kb_grouped` span (and its children) under it.
-                let mut build_span =
-                    recorder.span_at("grouped_build", groups[build_meta[0].0].jobs[0].trace.ctx);
-                build_span.field("groups", build_meta.len());
-                // Classify before building: a group whose documents are
-                // already (partly) in the stage-1 cache is *assembled*
-                // rather than fully cold. Probes don't touch LRU order or
-                // hit counters.
-                let assembled_groups = doc_groups
-                    .iter()
-                    .filter(|docs| docs.iter().any(|t| shared.stage1.contains_text(t)))
-                    .count() as u64;
-                build_span.field("assembled_groups", assembled_groups);
-                let results = qkb.build_kb_grouped_with(&shared.stage1, &doc_groups);
-                let mut round_timings = qkbfly::StageTimings::default();
-                let mut round_resolve = qkbfly::ResolveCounters::default();
-                let total_docs: usize = doc_groups.iter().map(Vec::len).sum();
-                for (&(gi, fkey), result) in build_meta.iter().zip(results) {
-                    round_timings.preprocess += result.timings.preprocess;
-                    round_timings.graph += result.timings.graph;
-                    round_timings.resolve += result.timings.resolve;
-                    round_timings.canonicalize += result.timings.canonicalize;
-                    for doc in &result.per_doc {
-                        round_resolve.add(&doc.resolve);
-                    }
-                    let fragment = Arc::new(KbFragment::from_result(result));
+                let ctx = groups[build_meta[0].0].jobs[0].trace.ctx;
+                let fragments = build_fragments(shared, &qkb, "grouped_build", ctx, &doc_groups);
+                for ((&(gi, fkey), fragment), docs) in
+                    build_meta.iter().zip(fragments).zip(&doc_groups)
+                {
                     if config.coalesce {
                         shared
                             .inflight
@@ -903,16 +948,13 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                     } else {
                         shared.cache.insert(fkey, fragment.clone());
                     }
-                    resolutions[gi] = Some(Resolution::Ready(fragment, Served::ColdBuild, fkey));
+                    resolutions[gi] = Some(Resolution::Ready(
+                        fragment,
+                        Served::ColdBuild,
+                        fkey,
+                        docs.len(),
+                    ));
                 }
-                shared.metrics.note_build_round(
-                    build_meta.len() as u64,
-                    assembled_groups,
-                    total_docs as u64,
-                    round_timings,
-                    round_resolve,
-                );
-                build_span.field("docs", total_docs);
             }
             resolutions
         }));
@@ -928,34 +970,19 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
         // --- answer and reply, one group at a time ---
         for (group, resolution) in groups.into_iter().zip(resolutions) {
             let group_ctx = group.jobs[0].trace.ctx;
-            let (fragment, served, fkey) = match resolution.expect("every group resolved") {
-                Resolution::Ready(f, s, k) => (f, s, k),
+            let (kb, served, fkey, n_docs) = match resolution.expect("every group resolved") {
+                Resolution::Ready(kb, s, k, n) => (kb, s, k, n),
                 Resolution::Waiting(slot, k, doc_ids) => match slot.wait() {
-                    Some(f) => (f, Served::Coalesced, k),
+                    Some(kb) => (kb, Served::Coalesced, k, doc_ids.len()),
                     None => {
                         // The leader died before publishing. Build solo
                         // (deterministic, so a duplicate is benign) and
                         // publish for any other stranded followers.
-                        let _solo_span = recorder.span_at("solo_build", group_ctx);
                         let texts = shared.engine.doc_texts(&doc_ids);
-                        let assembled =
-                            u64::from(texts.iter().any(|t| shared.stage1.contains_text(t)));
-                        let result = qkb.build_kb_with(&shared.stage1, &texts);
-                        let timings = result.timings;
-                        let mut resolve = qkbfly::ResolveCounters::default();
-                        for doc in &result.per_doc {
-                            resolve.add(&doc.resolve);
-                        }
-                        let fragment = Arc::new(KbFragment::from_result(result));
-                        shared.metrics.note_build_round(
-                            1,
-                            assembled,
-                            texts.len() as u64,
-                            timings,
-                            resolve,
-                        );
-                        shared.inflight.publish(k, fragment.clone(), &shared.cache);
-                        (fragment, Served::ColdBuild, k)
+                        let kb = build_fragments(shared, &qkb, "solo_build", group_ctx, &[texts])
+                            .remove(0);
+                        shared.inflight.publish(k, kb.clone(), &shared.cache);
+                        (kb, Served::ColdBuild, k, doc_ids.len())
                     }
                 },
             };
@@ -966,7 +993,7 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                 let answer_start = recorder.now_us();
                 let answers = memo
                     .entry(job.request.text.clone())
-                    .or_insert_with(|| shared.engine.answer(&job.request, &fragment))
+                    .or_insert_with(|| shared.engine.answer_kb(&job.request, &kb))
                     .clone();
                 recorder.record_interval("answer", job.trace.ctx, answer_start, |_| {});
                 let latency = job.enqueued.elapsed();
@@ -980,8 +1007,8 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                     answers,
                     served,
                     fragment_key: fkey,
-                    n_docs: fragment.n_docs,
-                    n_facts: fragment.kb.n_facts(),
+                    n_docs,
+                    n_facts: kb.n_facts(),
                     latency,
                 });
             }
@@ -993,7 +1020,7 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
 /// session's KB (stage-1 artifacts compute-or-lookup through the shared
 /// per-document cache — a document any earlier query paid for is free
 /// here too), answer from the whole accumulated KB, reply.
-fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &qkbfly::Qkbfly, job: Job) {
+fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &Qkbfly, job: Job) {
     let recorder = qkb.recorder();
     let session_id = job.session.as_deref().expect("session job");
     let mut turn_span = recorder.span_at("session_turn", job.trace.ctx);
@@ -1027,6 +1054,11 @@ fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &qkbfly::Qkbfly, jo
         )
     });
     shared.sessions.note_turn(&report);
+    // A turn's stage work feeds the same counters as one-shot builds,
+    // but a turn is not a build round.
+    shared
+        .metrics
+        .note_stage_work(report.timings, report.resolve);
     let served = if report.forked {
         shared.metrics.note_forest_fork();
         Served::SessionForked
@@ -1111,15 +1143,10 @@ mod tests {
         assert!(matches!(table.claim(9, &cache), Claim::Leader));
         let follower = table.claim(9, &cache);
         assert!(matches!(follower, Claim::Follower(_)));
-        let frag = Arc::new(KbFragment {
-            kb: qkb_kb::OnTheFlyKb::new(),
-            timings: qkbfly::StageTimings::default(),
-            n_docs: 0,
-        });
-        table.publish(9, frag, &cache);
+        table.publish(9, Arc::new(OnTheFlyKb::new()), &cache);
         // Follower observes the published fragment without blocking.
         if let Claim::Follower(slot) = follower {
-            assert_eq!(slot.wait().expect("published").n_docs, 0);
+            assert_eq!(slot.wait().expect("published").n_docs(), 0);
         }
         // After publication the key is cached, not claimable.
         assert!(matches!(table.claim(9, &cache), Claim::Cached(_)));

@@ -7,7 +7,7 @@
 //! for every shared document — the dominant cost per `StageTimings`. This
 //! cache memoizes the stage-1 artifact per *document*, keyed by
 //! `fingerprint64` of the document text, so a fragment for a new document
-//! set is assembled from cached artifacts plus stage-1 runs for the true
+//! set is built from cached artifacts plus stage-1 runs for the true
 //! misses only.
 //!
 //! Capacity is bounded in **approximate bytes** ([`DocStage1::approx_bytes`]
@@ -19,7 +19,7 @@
 //! Determinism: stage 1 is a pure function of the document text under a
 //! fixed configuration, so serving a memoized artifact is
 //! indistinguishable — byte for byte — from recomputing it
-//! (`Qkbfly::assemble_from` contract; enforced by `crates/core`'s
+//! (`Qkbfly::build_kb_with` contract; enforced by `crates/core`'s
 //! property tests).
 
 use crate::sharded::ShardedLru;
@@ -58,8 +58,8 @@ impl Stage1Counters {
 
 /// A sharded, byte-bounded, counted LRU over `Arc<DocStage1>` keyed by
 /// the document-text fingerprint. Implements [`Stage1Provider`], so the
-/// build entry points (`build_kb_with`, `build_kb_grouped_with`) use it
-/// directly as their compute-or-lookup source.
+/// build entry points (`build_kb_with`, `provide_stage1`,
+/// `stream_into_kb`) use it directly as their compute-or-lookup source.
 pub struct Stage1Cache {
     store: ShardedLru<Arc<DocStage1>>,
     capacity_bytes: u64,

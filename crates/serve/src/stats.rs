@@ -167,6 +167,13 @@ impl ServeMetrics {
         self.cold_builds.add(groups - assembled);
         self.assembled_builds.add(assembled);
         self.docs_built.add(docs);
+        self.note_stage_work(timings, resolve);
+    }
+
+    /// Stage time and resolve work of merged documents — a build round's
+    /// or a session turn's — into the counters behind
+    /// [`ServeStats::build_timings`] and [`ServeStats::resolve_counters`].
+    pub(crate) fn note_stage_work(&self, timings: StageTimings, resolve: ResolveCounters) {
         self.build_preprocess_us
             .add(timings.preprocess.as_micros() as u64);
         self.build_graph_us.add(timings.graph.as_micros() as u64);
@@ -334,11 +341,13 @@ pub struct ServeStats {
     pub batch_coalesced: u64,
     /// Query groups that piggybacked on another shard's in-flight build.
     pub inflight_coalesced: u64,
-    /// Summed per-stage build wall clock across all cold builds.
+    /// Summed per-stage wall clock of every document merged by a build
+    /// round or a session turn (stage-1 slots carry the artifact's
+    /// original compute cost, so a cached artifact re-reports it).
     pub build_timings: StageTimings,
     /// Summed resolve-stage work counters (coupling components, ILP
-    /// variables, branch-and-bound nodes, pruned candidates) across all
-    /// stage-1 computations.
+    /// variables, branch-and-bound nodes, pruned candidates) of the same
+    /// merged documents.
     pub resolve_counters: ResolveCounters,
 }
 

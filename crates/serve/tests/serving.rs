@@ -8,12 +8,15 @@
 //! 3. **admission batching** — distinct queued queries share one grouped
 //!    build round;
 //! 4. **cache bounds** — a capacity-1 cache evicts under alternation and
-//!    hits under repetition.
+//!    hits under repetition;
+//! 5. **one fold** — a one-shot fragment and a session over the same
+//!    retrieval are the same KB, repeated documents merged once.
 
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
+use qkb_kb::OnTheFlyKb;
 use qkb_qa::QaSystem;
-use qkb_serve::{QkbServer, QueryRequest, ServeConfig, Served};
+use qkb_serve::{QkbServer, QueryEngine, QueryRequest, ServeConfig, Served};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -403,6 +406,92 @@ fn session_turns_answer_from_the_accumulated_union_kb() {
         stats.stage1.hits + stats.stage1.misses,
         lookups_before,
         "a forked opening reuses the shared prefix without stage-1 traffic"
+    );
+    server.shutdown();
+}
+
+/// Session turns feed the same stage metrics as one-shot builds: a turn
+/// with fresh documents shows up in `build_timings` and
+/// `resolve_counters`, but it is not a build round.
+#[test]
+fn session_turns_feed_the_stage_metrics() {
+    let sys = Arc::new(engine());
+    let q = questions(&sys, 1).remove(0);
+    let server = QkbServer::start(
+        sys.clone(),
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let before = server.stats();
+    let turn = server.query_in_session("alice", QueryRequest::question(&q));
+    assert_eq!(turn.served, Served::SessionCold);
+    let stats = server.stats();
+    assert!(stats.sessions.docs_merged > 0);
+    assert!(
+        stats.build_timings.resolve > before.build_timings.resolve,
+        "a turn's resolve time must be counted: {stats:?}"
+    );
+    assert!(
+        stats.resolve_counters.components > before.resolve_counters.components,
+        "a turn's resolve components must be counted: {stats:?}"
+    );
+    assert_eq!(stats.build_rounds, before.build_rounds);
+    server.shutdown();
+}
+
+/// A retrieval that returns its first document twice, as a retriever may
+/// when two ids carry the same text.
+struct RepeatingEngine(Arc<QaSystem>);
+
+impl QueryEngine for RepeatingEngine {
+    fn qkbfly(&self) -> &qkbfly::Qkbfly {
+        self.0.qkbfly()
+    }
+
+    fn retrieve(&self, request: &QueryRequest) -> Vec<usize> {
+        let mut ids = self.0.retrieve(request);
+        ids.push(ids[0]);
+        ids
+    }
+
+    fn doc_texts(&self, doc_ids: &[usize]) -> Vec<String> {
+        self.0.doc_texts(doc_ids)
+    }
+
+    fn answer_kb(&self, request: &QueryRequest, kb: &OnTheFlyKb) -> Vec<String> {
+        self.0.answer_kb(request, kb)
+    }
+}
+
+/// A one-shot retrieval that repeats a text builds the same KB a session
+/// opened on the same ids does — the repeat is merged once on both paths
+/// — while `n_docs` still reports what retrieval returned.
+#[test]
+fn repeated_retrieval_answers_like_a_session_on_the_same_ids() {
+    let engine = RepeatingEngine(Arc::new(engine()));
+    let q = questions(&engine.0, 1).remove(0);
+    let retrieved = engine.retrieve(&QueryRequest::question(&q)).len();
+    assert!(retrieved >= 2);
+    let server = QkbServer::start(
+        engine,
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let one_shot = server.query(QueryRequest::question(&q));
+    assert_eq!(one_shot.served, Served::ColdBuild);
+    let session = server.query_in_session("s", QueryRequest::question(&q));
+    assert_eq!(session.served, Served::SessionCold);
+    assert_eq!(one_shot.answers, session.answers);
+    assert_eq!(one_shot.n_facts, session.n_facts);
+    assert_eq!(one_shot.n_docs, retrieved);
+    assert_eq!(
+        session.n_docs,
+        retrieved - 1,
+        "the session KB holds each text once"
     );
     server.shutdown();
 }

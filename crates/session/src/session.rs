@@ -2,7 +2,7 @@
 
 use crate::forest::PrefixForest;
 use qkb_kb::{doc_sequence_key, OnTheFlyKb};
-use qkbfly::{Qkbfly, Stage1Provider, StageTimings};
+use qkbfly::{Qkbfly, ResolveCounters, Stage1Provider, StageTimings};
 use std::sync::Arc;
 
 /// What one query turn did to a session KB.
@@ -26,6 +26,9 @@ pub struct TurnReport {
     /// turn's wall clock; earlier slots carry the artifacts' original
     /// compute cost).
     pub timings: StageTimings,
+    /// Resolve-stage counters of the merged documents (the artifacts'
+    /// original work, like the earlier timing slots).
+    pub resolve: ResolveCounters,
 }
 
 /// A session-scoped, monotonically growing on-the-fly KB.
@@ -161,6 +164,7 @@ impl SessionKb {
             merged: outcome.merged,
             deduped: outcome.skipped,
             timings: outcome.timings,
+            resolve: outcome.resolve,
         }
     }
 }
