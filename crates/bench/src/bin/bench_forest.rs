@@ -133,7 +133,6 @@ fn run_config(engine: &Arc<TopicEngine>, assignment: &[usize], forest: bool) -> 
             shards: 2,
             cache_capacity: 0,
             stage1_cache_bytes: 0,
-            batch_window: Duration::ZERO,
             session_forest: forest,
             ..ServeConfig::default()
         },

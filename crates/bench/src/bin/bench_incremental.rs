@@ -213,10 +213,6 @@ fn main() {
                 shards: 2,
                 cache_capacity: 2 * queries,
                 stage1_cache_bytes: stage1_bytes,
-                // Every query is distinct, so holding batches open buys
-                // nothing — don't let the admission window cap the
-                // measured speedup.
-                batch_window: Duration::ZERO,
                 ..ServeConfig::default()
             },
         );

@@ -32,7 +32,7 @@ use qkb_serve::{QueryRequest, ServeConfig};
 use qkb_util::json::Value;
 use qkbfly::Qkbfly;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -84,7 +84,6 @@ fn main() {
     let per_client = if quick { 12 } else { 30 };
     let serve = || ServeConfig {
         shards: 2,
-        batch_window: Duration::ZERO,
         ..ServeConfig::default()
     };
     let server = QkbNetServer::start(
@@ -166,7 +165,6 @@ fn main() {
                 cache_capacity: 0,
                 stage1_cache_bytes: 0,
                 batch_max: 1,
-                batch_window: Duration::ZERO,
                 ..ServeConfig::default()
             },
             ..NetConfig::default()
@@ -223,7 +221,6 @@ fn main() {
         serve: ServeConfig {
             shards: 1,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
         ..NetConfig::default()

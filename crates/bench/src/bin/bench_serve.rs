@@ -181,7 +181,6 @@ fn main() {
             cache_capacity: 0,
             coalesce: false,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     );
@@ -197,7 +196,6 @@ fn main() {
             cache_capacity: 64,
             coalesce: true,
             batch_max: 8,
-            batch_window: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );

@@ -183,7 +183,6 @@ fn main() {
         shards: 2,
         cache_capacity: 0,
         stage1_cache_bytes: 0,
-        batch_window: Duration::ZERO,
         ..ServeConfig::default()
     };
 

@@ -88,6 +88,9 @@ impl NetClient {
     /// Connects with the default frame-size bound.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are whole frames flushed at once; pipelined ones must
+        // not wait for the server's ACK of the previous one.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             reader,

@@ -11,7 +11,9 @@
 //! closed at accept), and one short-lived worker thread per admitted
 //! request so a connection can pipeline requests up to its inflight
 //! budget. Responses serialize on a per-connection write lock and carry
-//! the request's correlation id, so replies may interleave freely.
+//! the request's correlation id, so replies may interleave freely. Each
+//! reply is one whole frame, and accepted sockets set `TCP_NODELAY` so
+//! a reply never waits on the client's delayed ACK of the previous one.
 //!
 //! ## Admission control
 //!
@@ -583,6 +585,10 @@ fn send_response<E: QueryEngine>(
 }
 
 fn handle_connection<E: QueryEngine>(shared: &Arc<NetShared<E>>, stream: TcpStream, conn_id: u64) {
+    // With Nagle on, a reply written while an earlier one is
+    // unacknowledged would wait for the client's delayed ACK (up to
+    // 40 ms) or its next request.
+    let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => {

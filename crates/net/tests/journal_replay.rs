@@ -20,7 +20,6 @@ use qkb_serve::{QueryRequest, ServeConfig, Served};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 fn engine() -> Arc<QaSystem> {
     static ENGINE: OnceLock<Arc<QaSystem>> = OnceLock::new();
@@ -74,7 +73,6 @@ fn config_with_journal(dir: Option<&Path>) -> NetConfig {
         serve: ServeConfig {
             shards: 1,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
         ..NetConfig::default()

@@ -12,7 +12,9 @@
 //! 4. **graceful shutdown** — idempotent, and every admitted (queued)
 //!    request still receives its response;
 //! 5. **tracing** — each wire request records a `net_request` root span
-//!    with the serving tier's `request` span nested under it.
+//!    with the serving tier's `request` span nested under it;
+//! 6. **no Nagle delay** — pipelined replies are not held for the
+//!    client's delayed ACK.
 
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
@@ -64,7 +66,6 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         shards: 1,
         batch_max: 1,
-        batch_window: Duration::ZERO,
         ..ServeConfig::default()
     }
 }
@@ -315,6 +316,39 @@ fn shutdown_is_idempotent_and_queued_jobs_still_answer() {
     // Double shutdown is a no-op, and Drop after it is too.
     server.shutdown();
     drop(server);
+}
+
+/// Pipelined replies are not held back by Nagle's algorithm. Once a
+/// connection has left TCP's quick-ACK start, the client delays its ACKs;
+/// a reply written while the previous one is unacknowledged would then
+/// wait for that delayed ACK (40 ms on Linux). Four pipelined `Stats`
+/// requests must come back well inside one such delay.
+#[test]
+fn pipelined_replies_are_not_held_by_nagle() {
+    let server = QkbNetServer::start(engine(), net_config()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    for _ in 0..50 {
+        client.stats_json().unwrap();
+    }
+    let mut bursts: Vec<Duration> = (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for id in 0..4 {
+                client.send(&NetRequest::Stats { id }).unwrap();
+            }
+            for _ in 0..4 {
+                let reply = client.recv().unwrap();
+                assert!(matches!(reply, NetResponse::StatsJson { .. }), "{reply:?}");
+            }
+            start.elapsed()
+        })
+        .collect();
+    bursts.sort();
+    assert!(
+        bursts[2] < Duration::from_millis(20),
+        "median pipelined burst took {:?} (all: {bursts:?})",
+        bursts[2]
+    );
 }
 
 #[test]

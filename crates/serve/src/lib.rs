@@ -22,10 +22,12 @@
 //!   components of the joint NED+CR problem, so even a *never-seen*
 //!   document skips the solver for components it shares with anything
 //!   resolved before (hit/miss/evict counters on all tiers);
-//! * **admission batching** — a time/count window groups queued distinct
-//!   queries into one build round: one `Qkbfly::provide_stage1` over the
-//!   union of their documents (the parallel per-document fan-out), then
-//!   one `Qkbfly::extend_kb` fold into an empty KB per query;
+//! * **admission batching** — a free shard takes every query queued
+//!   while the shards were busy (up to `batch_max`, without waiting for
+//!   more) and builds the distinct ones in one round: one
+//!   `Qkbfly::provide_stage1` over the union of their documents (the
+//!   parallel per-document fan-out), then one `Qkbfly::extend_kb` fold
+//!   into an empty KB per query;
 //! * **session-scoped streaming KBs** — [`QkbServer::query_in_session`]
 //!   gives each client session a long-lived, monotonically growing KB
 //!   (the paper's interactive-exploration scenario, §6): successive

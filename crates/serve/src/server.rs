@@ -3,20 +3,22 @@
 //! ```text
 //!  clients ──► admission queue ──► N worker shards (cloned Qkbfly handle each)
 //!                  │                   │
-//!                  │ batch window      ├─ group batch by normalized query
-//!                  │ (time/count)      ├─ fragment cache?  ── hit ──► answer
+//!                  │ takes the         ├─ group batch by normalized query
+//!                  │ backlog (≤ max)   ├─ fragment cache?  ── hit ──► answer
 //!                  ▼                   ├─ in-flight table? ── wait ─► answer
 //!            [j1 j2 j3 …]             └─ misses: provide_stage1(union)
 //!                                         then extend_kb(empty KB) per group
 //! ```
 //!
 //! Scheduling properties:
-//! * **admission batching** — a worker drains up to `batch_max` queued
-//!   requests within `batch_window` of the first, then builds every missing
-//!   fragment in **one** round: a single `provide_stage1` over the union of
-//!   the groups' documents (the per-document fan-out, shared across
-//!   distinct queries), then one `extend_kb` fold into an empty KB per
-//!   group;
+//! * **admission batching** — a worker that finds the queue non-empty
+//!   takes every request already waiting (up to `batch_max`) without
+//!   waiting for more, so batches form only from requests that queued
+//!   while the shards were busy and an idle server never holds a request
+//!   back. It then builds every missing fragment in **one** round: a
+//!   single `provide_stage1` over the union of the groups' documents (the
+//!   per-document fan-out, shared across distinct queries), then one
+//!   `extend_kb` fold into an empty KB per group;
 //! * **request coalescing** — identical normalized queries in one batch
 //!   collapse to a single group, and a group whose fragment is already
 //!   being built by another shard waits on that build instead of starting
@@ -112,10 +114,9 @@ pub struct ServeConfig {
     pub component_cache_bytes: u64,
     /// Lock shards inside the component resolve cache.
     pub component_cache_shards: usize,
-    /// Maximum requests drained into one admission batch.
+    /// Maximum queued requests a worker takes as one admission batch;
+    /// `1` turns batching off.
     pub batch_max: usize,
-    /// How long a worker holds a batch open after its first request.
-    pub batch_window: Duration,
     /// Share in-flight builds across shards (off reproduces the
     /// redundant-build baseline for benchmarks).
     pub coalesce: bool,
@@ -164,7 +165,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("component_cache_bytes", &self.component_cache_bytes)
             .field("component_cache_shards", &self.component_cache_shards)
             .field("batch_max", &self.batch_max)
-            .field("batch_window", &self.batch_window)
             .field("coalesce", &self.coalesce)
             .field("build_parallelism", &self.build_parallelism)
             .field("session_bytes", &self.session_bytes)
@@ -189,7 +189,6 @@ impl Default for ServeConfig {
             component_cache_bytes: 32 << 20,
             component_cache_shards: 8,
             batch_max: 8,
-            batch_window: Duration::from_millis(2),
             coalesce: true,
             build_parallelism: 1,
             session_bytes: 256 << 20,
@@ -263,43 +262,20 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Blocks for the next batch: waits for a first job, then keeps
-    /// draining until `max` jobs are in hand or `window` has elapsed.
-    /// Returns an empty vec only when the queue is closed and drained.
-    fn pop_batch(&self, max: usize, window: Duration) -> Vec<Job> {
+    /// Blocks until a first job arrives, then takes it and whatever else
+    /// is already queued, up to `max` jobs (at least one). Never waits for
+    /// more. Returns an empty vec only when the queue is closed and
+    /// drained.
+    fn pop_batch(&self, max: usize) -> Vec<Job> {
         let mut state = self.state.lock().expect("admission queue");
-        loop {
-            if let Some(first) = state.jobs.pop_front() {
-                let mut batch = vec![first];
-                let deadline = Instant::now() + window;
-                while batch.len() < max {
-                    if let Some(job) = state.jobs.pop_front() {
-                        batch.push(job);
-                        continue;
-                    }
-                    if state.closed {
-                        break;
-                    }
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    let (s, timeout) = self
-                        .cond
-                        .wait_timeout(state, left)
-                        .expect("admission queue");
-                    state = s;
-                    if timeout.timed_out() && state.jobs.is_empty() {
-                        break;
-                    }
-                }
-                return batch;
-            }
+        while state.jobs.is_empty() {
             if state.closed {
                 return Vec::new();
             }
             state = self.cond.wait(state).expect("admission queue");
         }
+        let n = state.jobs.len().min(max.max(1));
+        state.jobs.drain(..n).collect()
     }
 
     fn close(&self) {
@@ -797,9 +773,7 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
     let qkb = shared.build_handle();
     let recorder = &config.recorder;
     loop {
-        let jobs = shared
-            .queue
-            .pop_batch(config.batch_max, config.batch_window);
+        let jobs = shared.queue.pop_batch(config.batch_max);
         if jobs.is_empty() {
             return; // closed and drained
         }
@@ -1106,10 +1080,8 @@ mod tests {
         for i in 0..5 {
             q.push(job(&format!("k{i}"))).expect("open");
         }
-        let batch = q.pop_batch(3, Duration::from_millis(5));
-        assert_eq!(batch.len(), 3);
-        let batch = q.pop_batch(3, Duration::from_millis(5));
-        assert_eq!(batch.len(), 2);
+        assert_eq!(q.pop_batch(3).len(), 3);
+        assert_eq!(q.pop_batch(3).len(), 2);
     }
 
     #[test]
@@ -1118,22 +1090,28 @@ mod tests {
         q.push(job("a")).expect("open");
         q.close();
         assert!(q.push(job("b")).is_err());
-        assert_eq!(q.pop_batch(4, Duration::ZERO).len(), 1);
-        assert!(q.pop_batch(4, Duration::ZERO).is_empty());
+        assert_eq!(q.pop_batch(4).len(), 1);
+        assert!(q.pop_batch(4).is_empty());
     }
 
     #[test]
-    fn queue_window_collects_late_arrivals() {
-        let q = Arc::new(AdmissionQueue::new());
-        q.push(job("first")).expect("open");
-        let q2 = q.clone();
-        let pusher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.push(job("late")).expect("open");
-        });
-        let batch = q.pop_batch(8, Duration::from_millis(300));
-        pusher.join().expect("pusher");
-        assert_eq!(batch.len(), 2, "late arrival inside the window joins");
+    fn queue_takes_the_backlog_without_waiting() {
+        let q = AdmissionQueue::new();
+        for i in 0..3 {
+            q.push(job(&format!("a{i}"))).expect("open");
+        }
+        // Fewer queued than `max`: the batch is the whole backlog, at once.
+        assert_eq!(q.pop_batch(8).len(), 3);
+        for i in 0..10 {
+            q.push(job(&format!("b{i}"))).expect("open");
+        }
+        let first = q.pop_batch(8);
+        assert_eq!(first.len(), 8);
+        assert_eq!(first[0].key, "b0", "the batch keeps arrival order");
+        assert_eq!(q.pop_batch(8).len(), 2);
+        // `max` 0 still makes progress, one job at a time.
+        q.push(job("c")).expect("open");
+        assert_eq!(q.pop_batch(0).len(), 1);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use qkb_qa::QaSystem;
 use qkb_serve::{QkbServer, QueryRequest, ServeConfig, Served};
 use qkb_util::json::Value;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A small but real engine: generated world, BM25 corpus, QKBfly system.
 fn engine() -> QaSystem {
@@ -117,7 +116,6 @@ fn traced_request_exports_a_well_formed_span_tree() {
             shards: 1,
             cache_capacity: 16,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             recorder: recorder.clone(),
             ..ServeConfig::default()
         },
@@ -411,7 +409,6 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
             shards: 1,
             cache_capacity: 16,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     );

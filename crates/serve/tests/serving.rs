@@ -5,8 +5,8 @@
 //!    shard count;
 //! 2. **coalescing** — K concurrent identical queries trigger exactly one
 //!    `build_kb` (counted through the shared `BuildCounters` hook);
-//! 3. **admission batching** — distinct queued queries share one grouped
-//!    build round;
+//! 3. **admission batching** — distinct queries queued behind a busy shard
+//!    form one batch and share one grouped build round;
 //! 4. **cache bounds** — a capacity-1 cache evicts under alternation and
 //!    hits under repetition;
 //! 5. **one fold** — a one-shot fragment and a session over the same
@@ -17,7 +17,7 @@ use qkb_corpus::world::{World, WorldConfig};
 use qkb_kb::OnTheFlyKb;
 use qkb_qa::QaSystem;
 use qkb_serve::{QkbServer, QueryEngine, QueryRequest, ServeConfig, Served};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 /// A small but real engine: generated world, BM25 corpus, QKBfly system.
@@ -68,7 +68,6 @@ fn cache_hit_answers_are_byte_identical_to_cold_builds() {
                 shards,
                 cache_capacity: 16,
                 batch_max: 1,
-                batch_window: Duration::ZERO,
                 ..ServeConfig::default()
             },
         );
@@ -102,7 +101,6 @@ fn k_concurrent_identical_queries_build_exactly_once() {
             shards: 1, // serial batches: the count below is exact
             cache_capacity: 16,
             batch_max: 16,
-            batch_window: Duration::from_millis(250),
             ..ServeConfig::default()
         },
     );
@@ -143,39 +141,123 @@ fn k_concurrent_identical_queries_build_exactly_once() {
     server.shutdown();
 }
 
+/// An engine whose first `retrieve` blocks until [`GateEngine::open`]:
+/// it holds a single-shard server busy while requests queue behind it.
+struct GateEngine {
+    inner: Arc<QaSystem>,
+    gate: Mutex<(bool, bool)>, // (a retrieve is held, the gate is open)
+    cond: Condvar,
+}
+
+impl GateEngine {
+    fn new(inner: Arc<QaSystem>) -> Self {
+        Self {
+            inner,
+            gate: Mutex::new((false, false)),
+            cond: Condvar::new(),
+        }
+    }
+
+    /// Blocks until the shard is held inside the first `retrieve`.
+    fn wait_held(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        while !gate.0 {
+            gate = self.cond.wait(gate).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.gate.lock().unwrap().1 = true;
+        self.cond.notify_all();
+    }
+}
+
+impl QueryEngine for GateEngine {
+    fn qkbfly(&self) -> &qkbfly::Qkbfly {
+        self.inner.qkbfly()
+    }
+
+    fn retrieve(&self, request: &QueryRequest) -> Vec<usize> {
+        let mut gate = self.gate.lock().unwrap();
+        if !gate.0 {
+            gate.0 = true;
+            self.cond.notify_all();
+            while !gate.1 {
+                gate = self.cond.wait(gate).unwrap();
+            }
+        }
+        drop(gate);
+        self.inner.retrieve(request)
+    }
+
+    fn doc_texts(&self, doc_ids: &[usize]) -> Vec<String> {
+        self.inner.doc_texts(doc_ids)
+    }
+
+    fn doc_fingerprint(&self, doc_ids: &[usize]) -> u64 {
+        self.inner.doc_fingerprint(doc_ids)
+    }
+
+    fn answer_kb(&self, request: &QueryRequest, kb: &OnTheFlyKb) -> Vec<String> {
+        self.inner.answer_kb(request, kb)
+    }
+}
+
+/// Requests that queue while the shard is busy form one batch, and the
+/// batch's distinct misses share one build round. No time window is
+/// involved: the shard takes the backlog the moment it is free.
 #[test]
 fn admission_batching_groups_distinct_queries_into_one_round() {
     let sys = Arc::new(engine());
-    let qs = questions(&sys, 4);
+    // Five questions with pairwise-distinct retrieved sets, so none can
+    // be served from another's fragment.
+    let mut seen_sets: Vec<Vec<usize>> = Vec::new();
+    let qs: Vec<String> = questions(&sys, 20)
+        .into_iter()
+        .filter(|q| {
+            let set = sys.retrieve_docs(q);
+            let fresh = !seen_sets.contains(&set);
+            seen_sets.push(set);
+            fresh
+        })
+        .take(5)
+        .collect();
+    assert_eq!(qs.len(), 5, "fixture needs 5 distinct retrievals");
+    let gate = Arc::new(GateEngine::new(sys.clone()));
     let server = QkbServer::start(
-        sys.clone(),
+        gate.clone(),
         ServeConfig {
             shards: 1,
             cache_capacity: 16,
             batch_max: 8,
-            batch_window: Duration::from_millis(300),
             ..ServeConfig::default()
         },
     );
-    let barrier = Barrier::new(qs.len());
     std::thread::scope(|scope| {
-        for q in &qs {
+        let client = server.client();
+        let held = &qs[0];
+        scope.spawn(move || client.query(QueryRequest::question(held)));
+        gate.wait_held();
+        for q in &qs[1..] {
             let client = server.client();
-            let barrier = &barrier;
-            scope.spawn(move || {
-                barrier.wait();
-                client.query(QueryRequest::question(q))
-            });
+            scope.spawn(move || client.query(QueryRequest::question(q)));
         }
+        // Let the four requests reach the admission queue behind the
+        // held one before the shard is released.
+        std::thread::sleep(Duration::from_millis(200));
+        gate.open();
     });
     let stats = server.stats();
     assert_eq!(stats.requests, qs.len() as u64);
-    assert!(
-        stats.build_rounds <= 2,
-        "4 concurrent distinct queries should share 1–2 grouped build rounds, got {}",
-        stats.build_rounds
+    assert_eq!(
+        stats.batches, 2,
+        "the held request, then the four queued behind it as one batch: {stats:?}"
     );
-    assert!(stats.cold_builds >= 1);
+    assert_eq!(
+        stats.build_rounds, 2,
+        "the queued batch's four misses must share one build round: {stats:?}"
+    );
+    assert_eq!(stats.cold_builds + stats.assembled_builds, qs.len() as u64);
     server.shutdown();
 }
 
@@ -190,7 +272,6 @@ fn capacity_one_cache_evicts_under_alternation_and_hits_under_repeats() {
             cache_capacity: 1,
             cache_shards: 1,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     );
@@ -247,7 +328,6 @@ fn overlapping_queries_compute_stage1_once_per_union_document() {
             cache_capacity: 16,
             stage1_cache_bytes: 256 << 20,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     );
@@ -290,7 +370,6 @@ fn disabled_stage1_cache_recomputes_overlap() {
             cache_capacity: 16,
             stage1_cache_bytes: 0,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     );
@@ -585,7 +664,6 @@ fn reset_stats_zeroes_counters_but_keeps_resident_state() {
             shards: 1,
             cache_capacity: 16,
             batch_max: 1,
-            batch_window: Duration::ZERO,
             ..ServeConfig::default()
         },
     );

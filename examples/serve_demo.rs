@@ -9,7 +9,6 @@ use qkb_corpus::world::{World, WorldConfig};
 use qkb_qa::QaSystem;
 use qkb_serve::{QkbServer, QueryRequest, ServeConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     // --- load the knowledge system (one-time, shared by all shards) ---
@@ -34,7 +33,6 @@ fn main() {
         ServeConfig {
             shards: 2,
             cache_capacity: 16,
-            batch_window: Duration::from_millis(2),
             ..ServeConfig::default()
         },
     );
