@@ -26,7 +26,10 @@
 
 use qkb_bench::{build_fixture, clone_repo, Table};
 use qkb_qa::QaSystem;
-use qkb_serve::{QkbServer, QueryEngine, QueryRequest, ServeConfig, ServeStats, Served};
+use qkb_serve::{
+    ForestConfig, QkbServer, QueryEngine, QueryRequest, ServeConfig, ServeStats, Served,
+    SessionConfig,
+};
 use qkb_util::json::Value;
 use qkbfly::Qkbfly;
 use std::sync::Arc;
@@ -133,7 +136,13 @@ fn run_config(engine: &Arc<TopicEngine>, assignment: &[usize], forest: bool) -> 
             shards: 2,
             cache_capacity: 0,
             stage1_cache_bytes: 0,
-            session_forest: forest,
+            session: SessionConfig {
+                forest: ForestConfig {
+                    enabled: forest,
+                    ..ForestConfig::default()
+                },
+                ..SessionConfig::default()
+            },
             ..ServeConfig::default()
         },
     );

@@ -28,6 +28,7 @@
 //! assert the ≥2x speedup bar that CI enforces.
 
 use qkb_bench::{build_fixture, Table};
+use qkb_obs::Registry;
 use qkb_serve::ComponentCache;
 use qkb_util::json::Value;
 use qkbfly::{Qkbfly, ResolveCounters, SolverKind, Variant};
@@ -222,7 +223,7 @@ fn bench_component_cache(
         let mut fingerprint = String::new();
         let mut counters = ResolveCounters::default();
         for rep in 0..reps {
-            let tier = Arc::new(ComponentCache::new(256 << 20, 8));
+            let tier = Arc::new(ComponentCache::new(256 << 20, 8, &Registry::new()));
             let cached = sys.with_resolve_cache(tier.clone());
             let warm = cached.build_kb(seen); // untimed warm-up
             std::hint::black_box(warm.kb.n_facts());

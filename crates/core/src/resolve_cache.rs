@@ -44,11 +44,11 @@
 //! The 64-bit key alone could collide. Every entry therefore stores its
 //! full canonical encoding, and a hit is only served after an exact
 //! byte comparison against the fresh component's encoding — a key
-//! collision degrades to a miss (`ResolveCacheProvider::reject` lets
-//! the store reclassify it), never to a wrong assignment. A cached
-//! assignment that passes the re-check is definitionally the assignment
-//! the solver would produce, so the KB stays byte-identical with the
-//! cache on or off.
+//! collision degrades to a miss (`ResolveCacheProvider::get` runs the
+//! comparison, so the store counts it as one), never to a wrong
+//! assignment. A cached assignment that passes the re-check is
+//! definitionally the assignment the solver would produce, so the KB
+//! stays byte-identical with the cache on or off.
 
 use crate::densify::{DensifyOutcome, MentionResolution};
 use crate::graph::{EdgeKind, GraphEdgeId, NodeId, NodeKind, SemanticGraph};
@@ -63,14 +63,13 @@ use std::sync::{Arc, Mutex};
 /// component reports `bypass`), the serve tier plugs in its sharded,
 /// byte-bounded LRU.
 pub trait ResolveCacheProvider: Send + Sync {
-    /// Looks up a solved component by fingerprint key.
-    fn get(&self, key: u64) -> Option<Arc<CachedComponent>>;
+    /// Looks up the solved component stored under fingerprint `key`,
+    /// served only when its canonical encoding equals `encoding`
+    /// ([`CachedComponent::matches`]): a fingerprint collision is a
+    /// miss. The store settles hit or miss before it counts anything.
+    fn get(&self, key: u64, encoding: &[u8]) -> Option<Arc<CachedComponent>>;
     /// Stores a freshly solved component.
     fn insert(&self, key: u64, entry: Arc<CachedComponent>);
-    /// Called when a looked-up entry failed the exact structural
-    /// re-check (a fingerprint collision): the store may reclassify the
-    /// counted hit as a miss. Default: no-op.
-    fn reject(&self) {}
 }
 
 /// Per-resolve cache outcome tally, recombined across components.
@@ -495,13 +494,9 @@ pub(crate) fn cached_densify(
     };
     let fp = fingerprint_component(graph, members, model, None);
     if let Some(fp) = &fp {
-        match provider.get(fp.key) {
-            Some(entry) if entry.matches(&fp.encoding) => {
-                let (out, kills) = entry.replay_greedy(members, &fp.edges);
-                return (out, kills, CacheOutcome::Hit);
-            }
-            Some(_) => provider.reject(),
-            None => {}
+        if let Some(entry) = provider.get(fp.key, &fp.encoding) {
+            let (out, kills) = entry.replay_greedy(members, &fp.edges);
+            return (out, kills, CacheOutcome::Hit);
         }
     }
     let (out, kills) = crate::densify::densify_deferred(graph, members, model, stats, repo, true);
@@ -530,12 +525,8 @@ pub(crate) fn cached_ilp(
     };
     let fp = fingerprint_component(graph, members, model, Some(opts));
     if let Some(fp) = &fp {
-        match provider.get(fp.key) {
-            Some(entry) if entry.matches(&fp.encoding) => {
-                return (entry.replay_ilp(members), CacheOutcome::Hit);
-            }
-            Some(_) => provider.reject(),
-            None => {}
+        if let Some(entry) = provider.get(fp.key, &fp.encoding) {
+            return (entry.replay_ilp(members), CacheOutcome::Hit);
         }
     }
     let out = crate::ilp::resolve_ilp_subset(graph, members, model, stats, repo, opts);
@@ -611,20 +602,23 @@ impl MemoryResolveCache {
 }
 
 impl ResolveCacheProvider for MemoryResolveCache {
-    fn get(&self, key: u64) -> Option<Arc<CachedComponent>> {
-        let hit = self.entries.lock().expect("cache lock").get(&key).cloned();
-        if hit.is_some() {
+    fn get(&self, key: u64, encoding: &[u8]) -> Option<Arc<CachedComponent>> {
+        let stored = self
+            .entries
+            .lock()
+            .expect("cache lock")
+            .get(&key)
+            .cloned()?;
+        if stored.matches(encoding) {
             *self.hits.lock().expect("cache lock") += 1;
+            Some(stored)
+        } else {
+            *self.rejects.lock().expect("cache lock") += 1;
+            None
         }
-        hit
     }
 
     fn insert(&self, key: u64, entry: Arc<CachedComponent>) {
         self.entries.lock().expect("cache lock").insert(key, entry);
-    }
-
-    fn reject(&self) {
-        *self.hits.lock().expect("cache lock") -= 1;
-        *self.rejects.lock().expect("cache lock") += 1;
     }
 }

@@ -395,8 +395,7 @@ impl SessionJournal {
         inner.writer.write_all(&bytes)?;
         inner.writer.flush()?;
         if self.config.fsync {
-            inner.writer.get_ref().sync_all()?;
-            self.fsyncs.inc();
+            self.fsync(inner.writer.get_ref())?;
         }
         inner.seg_bytes += bytes.len() as u64;
         self.appends.inc();
@@ -414,9 +413,15 @@ impl SessionJournal {
         Ok(())
     }
 
+    /// Issues one `fsync` on `file`, counting it whatever it returns.
+    fn fsync(&self, file: &File) -> io::Result<()> {
+        self.fsyncs.inc();
+        file.sync_all()
+    }
+
     fn rotate_locked(&self, inner: &mut Inner) -> io::Result<()> {
         inner.writer.flush()?;
-        inner.writer.get_ref().sync_all()?;
+        self.fsync(inner.writer.get_ref())?;
         let next = inner.seg_no + 1;
         inner.writer = BufWriter::new(
             OpenOptions::new()
@@ -442,7 +447,7 @@ impl SessionJournal {
         // Seal the current segment first so the snapshot strictly covers
         // everything below its number.
         inner.writer.flush()?;
-        inner.writer.get_ref().sync_all()?;
+        self.fsync(inner.writer.get_ref())?;
 
         let snap_no = inner.seg_no + 1;
         let tmp = self.config.dir.join("snap.tmp");
@@ -452,7 +457,7 @@ impl SessionJournal {
                 frame::write_frame(&mut w, REC_TURN, &rec.encode())?;
             }
             w.flush()?;
-            w.get_ref().sync_all()?;
+            self.fsync(w.get_ref())?;
         }
         fs::rename(&tmp, snap_path(&self.config.dir, snap_no))?;
         self.snapshots.inc();
@@ -498,9 +503,7 @@ impl SessionJournal {
     pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("journal writer");
         inner.writer.flush()?;
-        inner.writer.get_ref().sync_all()?;
-        self.fsyncs.inc();
-        Ok(())
+        self.fsync(inner.writer.get_ref())
     }
 
     /// Current counters.
@@ -690,6 +693,30 @@ mod tests {
         let (_, rev) = open(&dir, |_| {});
         assert_eq!(rev.turns.len(), 9);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_fsync_is_counted() {
+        // 9 appends, 64-byte segments, a snapshot every 4 appends: appends
+        // 2 and 6 rotate (one fsync each), appends 4 and 8 snapshot (two
+        // each: the sealed segment and the snapshot file).
+        for (fsync, expected) in [(false, 6), (true, 9 + 6)] {
+            let dir = tmp_dir(&format!("fsyncs_{fsync}"));
+            let (j, _) = open(&dir, |c| {
+                c.fsync = fsync;
+                c.segment_max_bytes = 64;
+                c.snapshot_every = 4;
+            });
+            for t in 1..=9 {
+                j.append(rec("s", t, t == 1, &[t]));
+            }
+            let stats = j.stats();
+            assert_eq!((stats.rotations, stats.snapshots), (2, 2), "{stats:?}");
+            assert_eq!(stats.fsyncs, expected, "fsync per append: {fsync}");
+            j.sync().unwrap();
+            assert_eq!(j.stats().fsyncs, expected + 1);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

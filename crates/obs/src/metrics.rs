@@ -200,6 +200,28 @@ impl RegistrySnapshot {
             .map(|(_, h)| h)
     }
 
+    /// The named counter for a reader whose names are fixed in code:
+    /// a missing name is a typo, not an idle metric, so it panics.
+    pub fn expect_counter(&self, name: &str) -> u64 {
+        self.counter(name)
+            .unwrap_or_else(|| panic!("no counter named {name}"))
+    }
+
+    /// The named gauge; panics like [`RegistrySnapshot::expect_counter`].
+    pub fn expect_gauge(&self, name: &str) -> i64 {
+        self.gauge(name)
+            .unwrap_or_else(|| panic!("no gauge named {name}"))
+    }
+
+    /// Adds gauges read from outside the registry at snapshot time
+    /// (state such as occupancy, which a [`Registry::reset`] must not
+    /// touch), keeping the gauges sorted by name.
+    pub fn with_gauges(mut self, gauges: impl IntoIterator<Item = (String, i64)>) -> Self {
+        self.gauges.extend(gauges);
+        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        self
+    }
+
     /// True when every counter, gauge, and histogram reads zero.
     pub fn is_zero(&self) -> bool {
         self.counters.iter().all(|(_, v)| *v == 0)
@@ -431,5 +453,24 @@ mod tests {
         assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("lat_us_sum 3"));
         assert!(text.contains("lat_us_count 2"));
+    }
+
+    #[test]
+    fn outside_gauges_merge_sorted_and_stay_outside() {
+        let reg = Registry::new();
+        reg.gauge("m_depth").set(2);
+        let snap = reg
+            .snapshot()
+            .with_gauges([("z_bytes".to_string(), 9), ("a_entries".to_string(), 4)]);
+        let names: Vec<&str> = snap.gauges.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a_entries", "m_depth", "z_bytes"]);
+        assert_eq!(snap.expect_gauge("z_bytes"), 9);
+        assert!(reg.snapshot().gauge("z_bytes").is_none(), "never stored");
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter named missing_total")]
+    fn expect_counter_panics_on_an_unknown_name() {
+        Registry::new().snapshot().expect_counter("missing_total");
     }
 }

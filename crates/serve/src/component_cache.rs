@@ -9,12 +9,14 @@
 //! that shares components with anything previously resolved skips the
 //! solver for exactly those components.
 //!
-//! The store is the same sharded byte-bounded LRU as the stage-1 tier;
-//! the payloads are `qkbfly::CachedComponent` entries (canonical
-//! encoding + solved assignment). Collision safety lives in `core`: a
-//! hit is only replayed after an exact byte comparison of the canonical
-//! encoding, and [`ResolveCacheProvider::reject`] lets `core` reclassify
-//! a counted store-level hit as a miss when that re-check fails.
+//! The store is the same sharded byte-bounded LRU as the stage-1 tier,
+//! counting into the server's metrics registry under
+//! `serve_component_cache_*`; the payloads are `qkbfly::CachedComponent`
+//! entries (canonical encoding + solved assignment). Collision safety:
+//! a stored entry is only served after an exact byte comparison of its
+//! canonical encoding with the fresh component's
+//! ([`ResolveCacheProvider::get`]), so a key collision is counted as the
+//! miss it is.
 //!
 //! One instance is shared process-wide across all serve shards and all
 //! sessions (the provider keys abstract over the process's entity and
@@ -22,109 +24,64 @@
 //! shares) — cross-session component reuse is free.
 
 use crate::sharded::ShardedLru;
+use qkb_obs::Registry;
 use qkbfly::{CachedComponent, ResolveCacheProvider};
 use std::sync::Arc;
 
-/// Component-cache counter snapshot.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ComponentCacheCounters {
-    /// Components replayed from cache (exact re-check passed).
-    pub hits: u64,
-    /// Components that had to be solved (including re-check rejections).
-    pub misses: u64,
-    /// Entries evicted by byte-capacity pressure.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-    /// Approximate bytes currently held.
-    pub approx_bytes: u64,
-    /// Configured byte capacity across shards.
-    pub capacity_bytes: u64,
-}
-
-impl ComponentCacheCounters {
-    /// Hits over lookups (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+/// Metric-name prefix of the component tier.
+pub(crate) const NAME: &str = "serve_component_cache";
 
 /// A sharded, byte-bounded, counted LRU over solved coupling
 /// components. Implements [`ResolveCacheProvider`], so a `Qkbfly`
-/// handle plugs it in with `with_resolve_cache`.
+/// handle plugs it in with `with_resolve_cache`. Its counters read as a
+/// [`crate::Stage1Counters`], the shape both byte-bounded tiers share.
 pub struct ComponentCache {
     store: ShardedLru<Arc<CachedComponent>>,
-    capacity_bytes: u64,
 }
 
 impl ComponentCache {
     /// A cache holding at most ~`capacity_bytes` of solved components,
     /// spread over `shards` independently locked byte-weighted LRUs
-    /// (capacity 0 disables caching; shards are clamped to at least 1).
-    pub fn new(capacity_bytes: u64, shards: usize) -> Self {
+    /// (capacity 0 disables caching; shards are clamped to at least 1),
+    /// counting into `registry`.
+    pub fn new(capacity_bytes: u64, shards: usize, registry: &Registry) -> Self {
         Self {
-            store: ShardedLru::weight_bounded(capacity_bytes, shards),
-            capacity_bytes,
+            store: ShardedLru::weight_bounded(NAME, capacity_bytes, shards, registry),
         }
     }
 
     /// True when the configured capacity is non-zero.
     pub fn is_enabled(&self) -> bool {
-        self.capacity_bytes > 0
+        self.store.is_enabled()
     }
 
-    /// Entries cached right now.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Zeroes the hit/miss/eviction counters; cached entries stay.
-    pub fn reset_counters(&self) {
-        self.store.reset_counters()
-    }
-
-    /// Counter snapshot.
-    pub fn counters(&self) -> ComponentCacheCounters {
-        let totals = self.store.totals();
-        ComponentCacheCounters {
-            hits: totals.hits,
-            misses: totals.misses,
-            evictions: totals.evictions,
-            entries: totals.entries,
-            approx_bytes: totals.weight,
-            capacity_bytes: self.capacity_bytes,
-        }
+    /// Occupancy gauges, read from the shards now:
+    /// `serve_component_cache_{entries,bytes,capacity_bytes}`.
+    pub fn gauges(&self) -> Vec<(String, i64)> {
+        self.store.gauges()
     }
 }
 
 impl ResolveCacheProvider for ComponentCache {
-    fn get(&self, key: u64) -> Option<Arc<CachedComponent>> {
-        self.store.get(key)
+    fn get(&self, key: u64, encoding: &[u8]) -> Option<Arc<CachedComponent>> {
+        let hit = self
+            .store
+            .lookup(key, true)
+            .filter(|entry| entry.matches(encoding));
+        self.store.count(hit.is_some());
+        hit
     }
 
     fn insert(&self, key: u64, entry: Arc<CachedComponent>) {
         let weight = entry.approx_bytes() as u64;
         self.store.insert_weighted(key, entry, weight);
     }
-
-    fn reject(&self) {
-        self.store.reclassify_hit_as_miss();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stage1Counters;
     use qkb_kb::{EntityRepository, PatternRepository};
     use qkbfly::Qkbfly;
     use std::sync::Arc;
@@ -137,17 +94,22 @@ mod tests {
         )
     }
 
+    fn counters(reg: &Registry, cache: &ComponentCache) -> Stage1Counters {
+        Stage1Counters::from_snapshot(&reg.snapshot().with_gauges(cache.gauges()), NAME)
+    }
+
     #[test]
     fn resolve_through_the_tier_hits_on_repeat_components() {
-        let cache = Arc::new(ComponentCache::new(32 << 20, 4));
+        let reg = Registry::new();
+        let cache = Arc::new(ComponentCache::new(32 << 20, 4, &reg));
         let qkb = tiny_system().with_resolve_cache(cache.clone());
         let _ = qkb.process_doc_stage1("Ada Lovelace wrote the first program.");
-        let cold = cache.counters();
+        let cold = counters(&reg, &cache);
         assert!(cold.misses > 0, "cold doc must miss: {cold:?}");
         assert_eq!(cold.hits, 0);
         assert!(cold.approx_bytes > 0);
         let _ = qkb.process_doc_stage1("Ada Lovelace wrote the first program.");
-        let warm = cache.counters();
+        let warm = counters(&reg, &cache);
         assert_eq!(warm.misses, cold.misses, "repeat doc must not miss");
         assert_eq!(warm.hits, cold.misses, "every component replays");
         let resolve = qkb.counters().resolve();
@@ -158,38 +120,36 @@ mod tests {
 
     #[test]
     fn zero_capacity_reports_disabled() {
-        let cache = ComponentCache::new(0, 4);
+        let reg = Registry::new();
+        let cache = ComponentCache::new(0, 4, &reg);
         assert!(!cache.is_enabled());
-        let c = cache.counters();
+        let c = counters(&reg, &cache);
         assert_eq!((c.hits, c.misses, c.entries), (0, 0, 0));
         assert!((c.hit_rate() - 0.0).abs() < f64::EPSILON);
     }
 
-    /// Records the keys `core` stores, so the test can later drive a
-    /// store-level hit on a known-resident entry.
+    /// Records the keys `core` stores, so the test can later look up a
+    /// known-resident entry.
     struct KeySpy {
         inner: Arc<ComponentCache>,
         keys: std::sync::Mutex<Vec<u64>>,
     }
 
     impl ResolveCacheProvider for KeySpy {
-        fn get(&self, key: u64) -> Option<Arc<CachedComponent>> {
-            self.inner.get(key)
+        fn get(&self, key: u64, encoding: &[u8]) -> Option<Arc<CachedComponent>> {
+            self.inner.get(key, encoding)
         }
 
         fn insert(&self, key: u64, entry: Arc<CachedComponent>) {
             self.keys.lock().expect("spy lock").push(key);
             self.inner.insert(key, entry);
         }
-
-        fn reject(&self) {
-            self.inner.reject();
-        }
     }
 
     #[test]
-    fn reject_reclassifies_a_counted_hit_as_a_miss() {
-        let tier = Arc::new(ComponentCache::new(1 << 20, 1));
+    fn failed_recheck_counts_one_miss_and_no_hit() {
+        let reg = Registry::new();
+        let tier = Arc::new(ComponentCache::new(1 << 20, 1, &reg));
         let spy = Arc::new(KeySpy {
             inner: tier.clone(),
             keys: std::sync::Mutex::new(Vec::new()),
@@ -202,13 +162,12 @@ mod tests {
             .expect("spy lock")
             .first()
             .expect("at least one component cached");
-        let before = tier.counters();
-        // A store-level hit whose structural re-check fails is counted
-        // as a hit by the store, then reclassified by reject(): the net
-        // effect must be one additional miss and no additional hit.
-        assert!(tier.get(key).is_some());
-        tier.reject();
-        let after = tier.counters();
+        let before = counters(&reg, &tier);
+        // A resident entry whose structural re-check fails (a fingerprint
+        // collision) is settled before counting: one miss, no hit, and
+        // no counter ever moves down.
+        assert!(tier.get(key, b"some other component").is_none());
+        let after = counters(&reg, &tier);
         assert_eq!(after.hits, before.hits);
         assert_eq!(after.misses, before.misses + 1);
     }

@@ -37,11 +37,16 @@
 //!   and answers come from the accumulated KB; sessions live in a
 //!   byte-budgeted, TTL-swept `qkb_session::SessionManager` shared by
 //!   all shards;
-//! * [`ServeStats`] — p50/p95 latency, throughput, cache hit rate,
-//!   per-stage build time and session-store snapshots, with
-//!   [`QkbServer::reset_stats`] as the benchmark phase boundary; the
-//!   same cells live in a `qkb_obs` metrics registry
-//!   ([`QkbServer::metrics_text`] renders the Prometheus-style text);
+//! * **one metrics registry** — every serving counter (requests, build
+//!   rounds, all three cache tiers, the session store, the prefix
+//!   forest) lives once, in the server's `qkb_obs` registry; occupancy
+//!   is read from the live stores when a snapshot is taken. One
+//!   snapshot ([`QkbServer::registry_snapshot`]) is rendered both as
+//!   [`ServeStats`] (p50/p95 latency from the sample ring, throughput,
+//!   hit rates, per-stage build time, session-store view) and as
+//!   Prometheus text ([`QkbServer::metrics_text`]), and one
+//!   [`QkbServer::reset_stats`] — a single registry reset — is the
+//!   benchmark phase boundary;
 //! * **tracing** — pass a live [`qkb_obs::Recorder`] in
 //!   [`ServeConfig::recorder`] and every request records a span tree
 //!   (admission wait, fragment-cache outcome, grouped build with the
@@ -69,9 +74,9 @@ pub mod stage1_cache;
 pub mod stats;
 
 pub use cache::{CacheCounters, FragmentCache};
-pub use component_cache::{ComponentCache, ComponentCacheCounters};
+pub use component_cache::ComponentCache;
 pub use engine::QueryEngine;
-pub use qkb_session::SessionStats;
+pub use qkb_session::{ForestConfig, SessionConfig, SessionStats};
 pub use request::{QueryKind, QueryRequest, QueryResponse, Served};
 pub use server::{LoggedTurn, QkbServer, ServeClient, ServeConfig, TurnLog};
 pub use stage1_cache::{Stage1Cache, Stage1Counters};

@@ -44,15 +44,15 @@ use crate::request::{QueryRequest, QueryResponse, Served};
 use crate::stage1_cache::Stage1Cache;
 use crate::stats::{ServeMetrics, ServeStats};
 use qkb_kb::OnTheFlyKb;
-use qkb_obs::{OpenSpan, Recorder, SpanCtx};
-use qkb_session::{ForestConfig, SessionConfig, SessionManager};
+use qkb_obs::{OpenSpan, Recorder, RegistrySnapshot, SpanCtx};
+use qkb_session::{SessionConfig, SessionManager};
 use qkb_util::FxHashMap;
 use qkbfly::{Qkbfly, ResolveCounters, StageTimings};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One committed session turn, as observed by a [`TurnLog`].
 ///
@@ -90,6 +90,13 @@ pub trait TurnLog: Send + Sync + 'static {
     fn log_turn(&self, turn: &LoggedTurn<'_>);
 }
 
+/// Lock shards inside each cache tier.
+const LOCK_SHARDS: usize = 8;
+
+/// `QkbflyConfig::parallelism` of each shard's builds: shards already
+/// run in parallel, so one worker per build avoids oversubscribing cores.
+const BUILD_PARALLELISM: usize = 1;
+
 /// Serving-layer configuration.
 #[derive(Clone)]
 pub struct ServeConfig {
@@ -98,50 +105,29 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Fragment-cache capacity in fragments; `0` disables the cache.
     pub cache_capacity: usize,
-    /// Lock shards inside the fragment cache.
-    pub cache_shards: usize,
     /// Per-document stage-1 cache capacity in approximate bytes; `0`
     /// disables tier one (every fragment miss becomes a fully cold
     /// build — the PR 2 behavior).
     pub stage1_cache_bytes: u64,
-    /// Lock shards inside the stage-1 cache.
-    pub stage1_cache_shards: usize,
     /// Component resolve-cache capacity in approximate bytes; `0`
     /// disables the tier (every coupling component re-enters the
     /// solver — the PR 6 behavior). The cache is process-wide: all
     /// shards and all sessions share it, so a component solved for any
     /// request is free for every later request that contains it.
     pub component_cache_bytes: u64,
-    /// Lock shards inside the component resolve cache.
-    pub component_cache_shards: usize,
     /// Maximum queued requests a worker takes as one admission batch;
     /// `1` turns batching off.
     pub batch_max: usize,
     /// Share in-flight builds across shards (off reproduces the
     /// redundant-build baseline for benchmarks).
     pub coalesce: bool,
-    /// `QkbflyConfig::parallelism` override for each shard's builds;
-    /// shards already run in parallel, so the default of 1 avoids
-    /// oversubscribing cores.
-    pub build_parallelism: usize,
-    /// Total byte budget across all resident session KBs
-    /// ([`QkbServer::query_in_session`]); exceeding it evicts
-    /// least-recently-used sessions. `0` = unbounded.
-    pub session_bytes: u64,
-    /// Idle TTL after which a session expires (swept on access).
-    /// `Duration::ZERO` = never.
-    pub session_ttl: Duration,
-    /// Hard cap on concurrently resident sessions; `0` = unbounded.
-    pub session_max: usize,
-    /// Share frozen session-KB prefixes across sessions through the
-    /// process-wide prefix forest: a session opening on a document
-    /// sequence another session already built forks its immutable
-    /// `Arc`-shared prefix in O(1) instead of rebuilding, and
-    /// `session_bytes` charges each session only its private delta.
-    pub session_forest: bool,
-    /// Byte budget of the prefix-forest registry (LRU beyond it); live
-    /// forks keep evicted layers alive until the last fork dies.
-    pub session_forest_bytes: u64,
+    /// The session store behind [`QkbServer::query_in_session`]: total
+    /// byte budget across resident session KBs, idle TTL, session cap,
+    /// and the prefix forest that lets a session opening on a document
+    /// sequence another session already built fork its frozen prefix in
+    /// O(1) (the byte budget then charges each session only its private
+    /// delta).
+    pub session: SessionConfig,
     /// Tracing recorder every request, build and session turn reports
     /// into. The default disabled recorder costs one branch per
     /// would-be span; pass `Recorder::flight()` (or a slow-log
@@ -159,19 +145,11 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("shards", &self.shards)
             .field("cache_capacity", &self.cache_capacity)
-            .field("cache_shards", &self.cache_shards)
             .field("stage1_cache_bytes", &self.stage1_cache_bytes)
-            .field("stage1_cache_shards", &self.stage1_cache_shards)
             .field("component_cache_bytes", &self.component_cache_bytes)
-            .field("component_cache_shards", &self.component_cache_shards)
             .field("batch_max", &self.batch_max)
             .field("coalesce", &self.coalesce)
-            .field("build_parallelism", &self.build_parallelism)
-            .field("session_bytes", &self.session_bytes)
-            .field("session_ttl", &self.session_ttl)
-            .field("session_max", &self.session_max)
-            .field("session_forest", &self.session_forest)
-            .field("session_forest_bytes", &self.session_forest_bytes)
+            .field("session", &self.session)
             .field("recorder", &self.recorder)
             .field("turn_log", &self.turn_log.as_ref().map(|_| "Some(..)"))
             .finish()
@@ -183,19 +161,11 @@ impl Default for ServeConfig {
         Self {
             shards: 0,
             cache_capacity: 128,
-            cache_shards: 8,
             stage1_cache_bytes: 64 << 20,
-            stage1_cache_shards: 8,
             component_cache_bytes: 32 << 20,
-            component_cache_shards: 8,
             batch_max: 8,
             coalesce: true,
-            build_parallelism: 1,
-            session_bytes: 256 << 20,
-            session_ttl: Duration::from_secs(15 * 60),
-            session_max: 1024,
-            session_forest: true,
-            session_forest_bytes: 64 << 20,
+            session: SessionConfig::default(),
             recorder: Recorder::disabled(),
             turn_log: None,
         }
@@ -409,12 +379,28 @@ impl<E: QueryEngine> Shared<E> {
         let mut qkb = self
             .engine
             .qkbfly()
-            .with_parallelism(self.config.build_parallelism)
+            .with_parallelism(BUILD_PARALLELISM)
             .with_recorder(self.config.recorder.clone());
         if self.component.is_enabled() {
             qkb = qkb.with_resolve_cache(self.component.clone());
         }
         qkb
+    }
+
+    /// The one snapshot both [`QkbServer::stats`] and
+    /// [`QkbServer::metrics_text`] render: every registry cell, plus the
+    /// occupancy gauges read from the live stores right now.
+    fn snapshot(&self) -> RegistrySnapshot {
+        let gauges = [
+            self.cache.gauges(),
+            self.stage1.gauges(),
+            self.component.gauges(),
+            self.sessions.gauges(),
+        ];
+        self.metrics
+            .registry()
+            .snapshot()
+            .with_gauges(gauges.concat())
     }
 
     /// `None` when the server has shut down (or a worker died with the
@@ -501,27 +487,23 @@ impl<E: QueryEngine> QkbServer<E> {
     /// Starts the worker shards and returns the running server.
     pub fn start(engine: E, config: ServeConfig) -> Self {
         let shards = config.resolved_shards();
+        // Every tier counts into the one registry the metrics own.
+        let metrics = ServeMetrics::new();
+        let registry = metrics.registry();
         let shared = Arc::new(Shared {
-            cache: FragmentCache::new(config.cache_capacity, config.cache_shards),
-            stage1: Stage1Cache::new(config.stage1_cache_bytes, config.stage1_cache_shards),
+            cache: FragmentCache::new(config.cache_capacity, LOCK_SHARDS, registry),
+            stage1: Stage1Cache::new(config.stage1_cache_bytes, LOCK_SHARDS, registry),
             component: Arc::new(ComponentCache::new(
                 config.component_cache_bytes,
-                config.component_cache_shards,
+                LOCK_SHARDS,
+                registry,
             )),
-            sessions: SessionManager::new(SessionConfig {
-                max_bytes: config.session_bytes,
-                ttl: config.session_ttl,
-                max_sessions: config.session_max,
-                forest: ForestConfig {
-                    enabled: config.session_forest,
-                    max_bytes: config.session_forest_bytes,
-                },
-            })
-            .with_recorder(config.recorder.clone()),
+            sessions: SessionManager::new(config.session, registry)
+                .with_recorder(config.recorder.clone()),
             engine: Arc::new(engine),
             queue: AdmissionQueue::new(),
             inflight: InFlightTable::new(),
-            metrics: ServeMetrics::new(),
+            metrics,
             config,
         });
         let workers = (0..shards)
@@ -557,27 +539,20 @@ impl<E: QueryEngine> QkbServer<E> {
     }
 
     /// A stats snapshot (latency percentiles, throughput, all three
-    /// cache tiers' counters, session-store counters).
+    /// cache tiers' counters, session-store counters): the typed view of
+    /// [`QkbServer::registry_snapshot`].
     pub fn stats(&self) -> ServeStats {
-        self.shared.metrics.snapshot(
-            self.shared.cache.counters(),
-            self.shared.stage1.counters(),
-            self.shared.component.counters(),
-            self.shared.sessions.stats(),
-        )
+        self.shared.metrics.stats(&self.shared.snapshot())
     }
 
-    /// Zeroes every monotonic counter (requests, latencies, build
-    /// rounds, cache and session-store counters) and restarts the
-    /// throughput clock. Benchmarks call this at phase boundaries so a
-    /// phase's stats are read directly instead of hand-subtracting two
-    /// snapshots; cached entries and resident sessions are untouched.
+    /// Zeroes every serving counter — one `Registry::reset`, since every
+    /// tier counts into that registry — and restarts the throughput
+    /// clock and the latency ring. Benchmarks call this at phase
+    /// boundaries so a phase's stats are read directly instead of
+    /// hand-subtracting two snapshots; cached entries and resident
+    /// sessions are untouched, and so is their occupancy.
     pub fn reset_stats(&self) {
         self.shared.metrics.reset();
-        self.shared.cache.reset_counters();
-        self.shared.stage1.reset_counters();
-        self.shared.component.reset_counters();
-        self.shared.sessions.reset_counters();
     }
 
     /// The tracing recorder the server reports into (the one from
@@ -587,46 +562,19 @@ impl<E: QueryEngine> QkbServer<E> {
         &self.shared.config.recorder
     }
 
-    /// A point-in-time snapshot of the underlying metrics registry
-    /// ([`ServeStats`] is an aggregated view over the same cells).
-    pub fn registry_snapshot(&self) -> qkb_obs::RegistrySnapshot {
-        self.shared.metrics.registry().snapshot()
+    /// A point-in-time snapshot of the metrics registry every serving
+    /// counter lives in, plus the occupancy gauges of the cache tiers,
+    /// the session store and the prefix forest, read from the live
+    /// stores now. [`ServeStats`] is the typed view of it.
+    pub fn registry_snapshot(&self) -> RegistrySnapshot {
+        self.shared.snapshot()
     }
 
-    /// Prometheus-style text exposition of the metrics registry, plus
-    /// the component resolve-cache tier's store-level lines. The tier's
-    /// occupancy (resident entries/bytes) is state, not a counter — it
-    /// survives [`QkbServer::reset_stats`] — so it is rendered from the
-    /// live store here instead of living in the resettable registry.
+    /// Prometheus-style text exposition of
+    /// [`QkbServer::registry_snapshot`]: every series under its own
+    /// `# TYPE` line.
     pub fn metrics_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut text = self.registry_snapshot().to_prometheus_text();
-        let c = self.shared.component.counters();
-        let _ = writeln!(text, "serve_component_cache_hits_total {}", c.hits);
-        let _ = writeln!(text, "serve_component_cache_misses_total {}", c.misses);
-        let _ = writeln!(
-            text,
-            "serve_component_cache_evictions_total {}",
-            c.evictions
-        );
-        let _ = writeln!(text, "serve_component_cache_entries {}", c.entries);
-        let _ = writeln!(text, "serve_component_cache_bytes {}", c.approx_bytes);
-        let _ = writeln!(
-            text,
-            "serve_component_cache_capacity_bytes {}",
-            c.capacity_bytes
-        );
-        // Prefix-forest occupancy gauges are state too (frozen layers
-        // and their refcounts outlive counter resets) — rendered from
-        // the live session store. `serve_forest_forks_total` itself is
-        // a registry counter and appears in the exposition above.
-        let f = self.shared.sessions.stats().forest;
-        let _ = writeln!(text, "serve_forest_freezes_total {}", f.freezes);
-        let _ = writeln!(text, "serve_forest_evicted_total {}", f.evicted);
-        let _ = writeln!(text, "serve_forest_frozen_layers {}", f.frozen_layers);
-        let _ = writeln!(text, "serve_forest_shared_bytes {}", f.shared_bytes);
-        let _ = writeln!(text, "serve_forest_layer_refs {}", f.layer_refs);
-        text
+        self.shared.snapshot().to_prometheus_text()
     }
 
     /// Sweeps idle sessions past the TTL (also happens opportunistically
@@ -855,31 +803,18 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                 // Key without materializing texts: the cache-hit fast
                 // path stays allocation-light.
                 let fkey = shared.engine.doc_fingerprint(&doc_ids);
-                // Counted fast path; with coalescing on, a miss is
-                // re-checked race-free under the in-flight lock.
-                if let Some(frag) = shared.cache.get(fkey) {
-                    note_lookup("cache_hit", "fragment");
-                    resolutions.push(Some(Resolution::Ready(
-                        frag,
-                        Served::CacheHit,
-                        fkey,
-                        doc_ids.len(),
-                    )));
-                    continue;
-                }
-                if !config.coalesce {
-                    note_lookup("build", "stage1");
-                    build_meta.push((gi, fkey));
-                    doc_groups.push(shared.engine.doc_texts(&doc_ids));
-                    resolutions.push(None);
-                    continue;
-                }
-                match shared.inflight.claim(fkey, &shared.cache) {
+                // Promoting lookup, counted once the outcome settles: with
+                // coalescing on, a miss is re-checked race-free under the
+                // in-flight lock and may still turn out a hit.
+                let claim = match shared.cache.lookup(fkey) {
+                    Some(frag) => Claim::Cached(frag),
+                    None if config.coalesce => shared.inflight.claim(fkey, &shared.cache),
+                    None => Claim::Leader,
+                };
+                shared.cache.count(matches!(claim, Claim::Cached(_)));
+                match claim {
                     Claim::Cached(frag) => {
-                        // Another shard published between our counted
-                        // miss and the claim.
                         note_lookup("cache_hit", "fragment");
-                        shared.cache.reclassify_miss_as_hit();
                         resolutions.push(Some(Resolution::Ready(
                             frag,
                             Served::CacheHit,
@@ -888,7 +823,15 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                         )));
                     }
                     Claim::Leader => {
-                        note_lookup("lead_build", "stage1");
+                        note_lookup(
+                            if config.coalesce {
+                                "lead_build"
+                            } else {
+                                "build"
+                            },
+                            "stage1",
+                        );
+                        // Abandoning a key nobody claimed is a no-op.
                         claimed.push(fkey);
                         build_meta.push((gi, fkey));
                         doc_groups.push(shared.engine.doc_texts(&doc_ids));
@@ -1034,7 +977,6 @@ fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &Qkbfly, job: Job) 
         .metrics
         .note_stage_work(report.timings, report.resolve);
     let served = if report.forked {
-        shared.metrics.note_forest_fork();
         Served::SessionForked
     } else if report.cold {
         Served::SessionCold
@@ -1117,7 +1059,7 @@ mod tests {
     #[test]
     fn inflight_claim_leader_then_follower() {
         let table = InFlightTable::new();
-        let cache = FragmentCache::new(4, 1);
+        let cache = FragmentCache::new(4, 1, &qkb_obs::Registry::new());
         assert!(matches!(table.claim(9, &cache), Claim::Leader));
         let follower = table.claim(9, &cache);
         assert!(matches!(follower, Claim::Follower(_)));
@@ -1133,7 +1075,7 @@ mod tests {
     #[test]
     fn abandoned_claims_wake_followers_with_none() {
         let table = InFlightTable::new();
-        let cache = FragmentCache::new(4, 1);
+        let cache = FragmentCache::new(4, 1, &qkb_obs::Registry::new());
         assert!(matches!(table.claim(3, &cache), Claim::Leader));
         let follower = table.claim(3, &cache);
         table.abandon([3]);

@@ -1,60 +1,86 @@
-//! The sharded counted LRU machinery shared by both cache tiers.
+//! The sharded counted LRU machinery shared by all three cache tiers.
 //!
-//! [`crate::FragmentCache`] (entry-bounded, tier two) and
-//! [`crate::Stage1Cache`] (byte-bounded, tier one) are thin typed
-//! wrappers over this store: a [`qkb_util::LruCache`] split across
-//! independently locked shards, keyed by a 64-bit fingerprint, with
-//! lock-free hit/miss/eviction counters. Keeping the machinery in one
-//! place means shard selection, counted lookups and eviction accounting
-//! cannot drift apart between the tiers.
+//! [`crate::FragmentCache`] (entry-bounded), [`crate::Stage1Cache`] and
+//! [`crate::ComponentCache`] (both byte-bounded) are thin typed wrappers
+//! over this store: a [`qkb_util::LruCache`] split across independently
+//! locked shards, keyed by a 64-bit fingerprint. Its hit/miss/eviction
+//! counters are handles into the server's metrics registry, named
+//! `{name}_hits_total`, `{name}_misses_total` and
+//! `{name}_evictions_total`; its occupancy is read from the shards when
+//! a snapshot is taken ([`ShardedLru::gauges`]). Keeping the machinery
+//! in one place means shard selection, counted lookups, eviction
+//! accounting and metric names cannot drift apart between the tiers.
 
+use qkb_obs::{Counter, Registry, RegistrySnapshot};
 use qkb_util::LruCache;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Raw counter totals across all shards.
-pub(crate) struct ShardedTotals {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub entries: usize,
-    pub weight: u64,
-}
 
 /// A sharded, bounded, counted LRU over fingerprint keys.
 pub(crate) struct ShardedLru<V> {
+    /// Metric-name prefix, e.g. `serve_stage1_cache`.
+    name: &'static str,
     shards: Vec<Mutex<LruCache<u64, V>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Configured bound: entries, or bytes when `weighted`.
+    capacity: u64,
+    weighted: bool,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl<V: Clone> ShardedLru<V> {
     /// A store bounded by **entry count**, split so per-shard capacities
     /// sum exactly to `capacity` (shards are clamped to
     /// `1..=capacity.max(1)`; capacity 0 disables caching).
-    pub fn entry_bounded(capacity: usize, shards: usize) -> Self {
+    pub fn entry_bounded(
+        name: &'static str,
+        capacity: usize,
+        shards: usize,
+        registry: &Registry,
+    ) -> Self {
         let shards = shards.clamp(1, capacity.max(1));
         let (base, extra) = (capacity / shards, capacity % shards);
-        Self::from_caches((0..shards).map(|i| LruCache::new(base + usize::from(i < extra))))
+        let caches = (0..shards).map(|i| LruCache::new(base + usize::from(i < extra)));
+        Self::from_caches(name, caches, capacity as u64, false, registry)
     }
 
     /// A store bounded by **total weight** (approximate bytes), split so
     /// per-shard budgets sum exactly to `capacity` (shards are clamped
     /// to at least 1; capacity 0 disables caching).
-    pub fn weight_bounded(capacity: u64, shards: usize) -> Self {
+    pub fn weight_bounded(
+        name: &'static str,
+        capacity: u64,
+        shards: usize,
+        registry: &Registry,
+    ) -> Self {
         let shards = shards.max(1) as u64;
         let (base, extra) = (capacity / shards, capacity % shards);
-        Self::from_caches((0..shards).map(|i| LruCache::weighted(base + u64::from(i < extra))))
+        let caches = (0..shards).map(|i| LruCache::weighted(base + u64::from(i < extra)));
+        Self::from_caches(name, caches, capacity, true, registry)
     }
 
-    fn from_caches(caches: impl Iterator<Item = LruCache<u64, V>>) -> Self {
+    fn from_caches(
+        name: &'static str,
+        caches: impl Iterator<Item = LruCache<u64, V>>,
+        capacity: u64,
+        weighted: bool,
+        registry: &Registry,
+    ) -> Self {
+        let counter = |what: &str| registry.counter(&format!("{name}_{what}_total"));
         Self {
+            name,
             shards: caches.map(Mutex::new).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            capacity,
+            weighted,
+            hits: counter("hits"),
+            misses: counter("misses"),
+            evictions: counter("evictions"),
         }
+    }
+
+    /// True when the configured capacity is non-zero.
+    pub fn is_enabled(&self) -> bool {
+        self.capacity > 0
     }
 
     fn shard(&self, key: u64) -> &Mutex<LruCache<u64, V>> {
@@ -65,26 +91,15 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Counted lookup; promotes the entry on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        match self.lookup(key, true) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.lookup(key, true);
+        self.count(found.is_some());
+        found
     }
 
-    /// Uncounted lookup that does **not** perturb the LRU order.
-    pub fn peek(&self, key: u64) -> Option<V> {
-        self.lookup(key, false)
-    }
-
-    /// The one lookup primitive: `touch` decides whether a hit is
-    /// promoted in the recency order.
-    fn lookup(&self, key: u64, touch: bool) -> Option<V> {
+    /// The one lookup primitive, uncounted: `touch` decides whether a
+    /// hit is promoted in the recency order. A caller that settles the
+    /// outcome later counts it once with [`ShardedLru::count`].
+    pub fn lookup(&self, key: u64, touch: bool) -> Option<V> {
         let mut shard = self.shard(key).lock().expect("cache shard");
         if touch {
             shard.get(&key).cloned()
@@ -93,29 +108,13 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
-    /// Corrects the counters when a lookup counted as a miss turned out
-    /// to be a hit after all (another thread published the value between
-    /// the counted fast-path miss and a locked re-check).
-    pub fn reclassify_miss_as_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The mirror correction: a lookup counted as a hit turned out
-    /// unusable after all (the component cache's exact structural
-    /// re-check rejected a fingerprint-colliding entry).
-    pub fn reclassify_hit_as_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Zeroes the hit/miss/eviction counters (benchmark phase
-    /// boundaries); cached entries stay resident — occupancy is state,
-    /// not a counter.
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+    /// Counts one settled lookup as a hit or a miss.
+    pub fn count(&self, hit: bool) {
+        if hit {
+            self.hits.inc();
+        } else {
+            self.misses.inc();
+        }
     }
 
     /// Inserts `key → value` carrying `weight`, counting capacity
@@ -130,40 +129,54 @@ impl<V: Clone> ShardedLru<V> {
             .expect("cache shard")
             .insert_weighted(key, value, weight);
         let evicted_others = outcome.evicted.iter().filter(|(k, _)| *k != key).count() as u64;
-        self.evictions.fetch_add(evicted_others, Ordering::Relaxed);
+        self.evictions.add(evicted_others);
     }
 
-    /// Entries cached right now.
-    pub fn len(&self) -> usize {
+    /// Entries and total weight cached right now.
+    pub fn occupancy(&self) -> (usize, u64) {
         self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard").len())
-            .sum()
-    }
-
-    /// Counter totals plus current entry/weight occupancy.
-    pub fn totals(&self) -> ShardedTotals {
-        let (entries, weight) = self
-            .shards
             .iter()
             .map(|s| {
                 let shard = s.lock().expect("cache shard");
                 (shard.len(), shard.approx_bytes())
             })
-            .fold((0usize, 0u64), |(n, b), (sn, sb)| (n + sn, b + sb));
-        ShardedTotals {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            weight,
-        }
+            .fold((0, 0), |(n, b), (sn, sb)| (n + sn, b + sb))
     }
+
+    /// Occupancy gauges for a registry snapshot: `{name}_entries`, then
+    /// `{name}_bytes` and `{name}_capacity_bytes` for a byte-bounded
+    /// store or `{name}_capacity` for an entry-bounded one.
+    pub fn gauges(&self) -> Vec<(String, i64)> {
+        let (entries, bytes) = self.occupancy();
+        let gauge = |what: &str, v: u64| (format!("{}_{what}", self.name), v as i64);
+        let mut out = vec![gauge("entries", entries as u64)];
+        if self.weighted {
+            out.push(gauge("bytes", bytes));
+            out.push(gauge("capacity_bytes", self.capacity));
+        } else {
+            out.push(gauge("capacity", self.capacity));
+        }
+        out
+    }
+}
+
+/// The hit, miss and eviction counts of the store named `name`.
+pub(crate) fn lookup_counts(snap: &RegistrySnapshot, name: &str) -> [u64; 3] {
+    ["hits", "misses", "evictions"].map(|what| snap.expect_counter(&format!("{name}_{what}_total")))
+}
+
+/// The occupancy gauge `{name}_{what}` of the store named `name`.
+pub(crate) fn occupancy_gauge(snap: &RegistrySnapshot, name: &str, what: &str) -> u64 {
+    snap.expect_gauge(&format!("{name}_{what}")) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn evictions(reg: &Registry) -> u64 {
+        lookup_counts(&reg.snapshot(), "t")[2]
+    }
 
     #[test]
     fn oversized_bounce_is_not_an_eviction() {
@@ -171,27 +184,27 @@ mod tests {
         // weight budget bounces straight back without landing in the
         // eviction counter — no cached entry was lost — and without
         // flushing the resident working set.
-        let store: ShardedLru<u32> = ShardedLru::weight_bounded(100, 1);
+        let reg = Registry::new();
+        let store: ShardedLru<u32> = ShardedLru::weight_bounded("t", 100, 1, &reg);
         store.insert_weighted(1, 10, 60);
         store.insert_weighted(2, 20, 30);
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.occupancy().0, 2);
         store.insert_weighted(3, 30, 500); // heavier than the budget
-        let totals = store.totals();
-        assert_eq!(totals.evictions, 0, "a bounce must not count as eviction");
-        assert_eq!(totals.entries, 2, "residents must survive the bounce");
-        assert_eq!(store.peek(1), Some(10));
-        assert_eq!(store.peek(2), Some(20));
-        assert_eq!(store.peek(3), None);
+        assert_eq!(evictions(&reg), 0, "a bounce must not count as eviction");
+        assert_eq!(store.occupancy().0, 2, "residents must survive the bounce");
+        assert_eq!(store.lookup(1, false), Some(10));
+        assert_eq!(store.lookup(2, false), Some(20));
+        assert_eq!(store.lookup(3, false), None);
         // Genuine weight pressure still counts.
         store.insert_weighted(4, 40, 90);
-        assert!(store.totals().evictions >= 1);
+        assert!(evictions(&reg) >= 1);
     }
 
     #[test]
     fn zero_capacity_bounce_is_not_an_eviction() {
-        let store: ShardedLru<u32> = ShardedLru::weight_bounded(0, 1);
+        let reg = Registry::new();
+        let store: ShardedLru<u32> = ShardedLru::weight_bounded("t", 0, 1, &reg);
         store.insert_weighted(1, 10, 5);
-        let totals = store.totals();
-        assert_eq!((totals.evictions, totals.entries), (0, 0));
+        assert_eq!((evictions(&reg), store.occupancy().0), (0, 0));
     }
 }

@@ -14,7 +14,8 @@
 //! is the eviction weight): artifacts vary by an order of magnitude with
 //! document length, so counting entries would make the bound meaningless.
 //! The store is split over independently locked shards like the fragment
-//! cache.
+//! cache, and counts into the server's metrics registry under
+//! `serve_stage1_cache_*`.
 //!
 //! Determinism: stage 1 is a pure function of the document text under a
 //! fixed configuration, so serving a memoized artifact is
@@ -22,21 +23,27 @@
 //! (`Qkbfly::build_kb_with` contract; enforced by `crates/core`'s
 //! property tests).
 
-use crate::sharded::ShardedLru;
+use crate::sharded::{lookup_counts, occupancy_gauge, ShardedLru};
+use qkb_obs::{Registry, RegistrySnapshot};
 use qkb_util::fingerprint64;
 use qkbfly::{DocStage1, Qkbfly, Stage1Provider};
 use std::sync::Arc;
 
-/// Stage-1 cache counter snapshot.
+/// Metric-name prefix of the stage-1 tier.
+pub(crate) const NAME: &str = "serve_stage1_cache";
+
+/// Counter snapshot of a byte-bounded cache tier: the stage-1 tier, and
+/// the component tier below it, which has the same shape.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stage1Counters {
-    /// Documents whose artifact was served from cache.
+    /// Lookups served from cache.
     pub hits: u64,
-    /// Documents whose artifact had to be computed.
+    /// Lookups that had to compute (for the component tier: including
+    /// exact re-check rejections).
     pub misses: u64,
-    /// Artifacts evicted by byte-capacity pressure.
+    /// Entries evicted by byte-capacity pressure.
     pub evictions: u64,
-    /// Artifacts currently cached.
+    /// Entries currently cached.
     pub entries: usize,
     /// Approximate bytes currently held.
     pub approx_bytes: u64,
@@ -54,6 +61,20 @@ impl Stage1Counters {
             self.hits as f64 / total as f64
         }
     }
+
+    /// The counters and occupancy gauges in `snap` of the byte-bounded
+    /// tier whose metric names start with `name`.
+    pub fn from_snapshot(snap: &RegistrySnapshot, name: &str) -> Self {
+        let [hits, misses, evictions] = lookup_counts(snap, name);
+        Self {
+            hits,
+            misses,
+            evictions,
+            entries: occupancy_gauge(snap, name, "entries") as usize,
+            approx_bytes: occupancy_gauge(snap, name, "bytes"),
+            capacity_bytes: occupancy_gauge(snap, name, "capacity_bytes"),
+        }
+    }
 }
 
 /// A sharded, byte-bounded, counted LRU over `Arc<DocStage1>` keyed by
@@ -62,26 +83,25 @@ impl Stage1Counters {
 /// `stream_into_kb`) use it directly as their compute-or-lookup source.
 pub struct Stage1Cache {
     store: ShardedLru<Arc<DocStage1>>,
-    capacity_bytes: u64,
 }
 
 impl Stage1Cache {
     /// A cache holding at most ~`capacity_bytes` of stage-1 artifacts,
     /// spread over `shards` independently locked byte-weighted LRUs
-    /// (capacity 0 disables caching; shards are clamped to at least 1).
-    /// Per-shard budgets sum to `capacity_bytes`; a key-skewed workload
-    /// can evict before the total is reached — the price of lock
-    /// sharding, as with the fragment cache.
-    pub fn new(capacity_bytes: u64, shards: usize) -> Self {
+    /// (capacity 0 disables caching; shards are clamped to at least 1),
+    /// counting into `registry`. Per-shard budgets sum to
+    /// `capacity_bytes`; a key-skewed workload can evict before the total
+    /// is reached — the price of lock sharding, as with the fragment
+    /// cache.
+    pub fn new(capacity_bytes: u64, shards: usize, registry: &Registry) -> Self {
         Self {
-            store: ShardedLru::weight_bounded(capacity_bytes, shards),
-            capacity_bytes,
+            store: ShardedLru::weight_bounded(NAME, capacity_bytes, shards, registry),
         }
     }
 
     /// True when the configured capacity is non-zero.
     pub fn is_enabled(&self) -> bool {
-        self.capacity_bytes > 0
+        self.store.is_enabled()
     }
 
     /// The cache key for one document text.
@@ -98,7 +118,7 @@ impl Stage1Cache {
     /// (the server uses it to classify a build as assembled-vs-cold
     /// without double-counting lookups).
     pub fn contains_text(&self, text: &str) -> bool {
-        self.store.peek(Self::key_of(text)).is_some()
+        self.store.lookup(Self::key_of(text), false).is_some()
     }
 
     /// Inserts an artifact weighted by its approximate byte size,
@@ -109,32 +129,10 @@ impl Stage1Cache {
         self.store.insert_weighted(key, stage1, weight);
     }
 
-    /// Artifacts cached right now.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Zeroes the hit/miss/eviction counters; cached artifacts stay.
-    pub fn reset_counters(&self) {
-        self.store.reset_counters()
-    }
-
-    /// Counter snapshot.
-    pub fn counters(&self) -> Stage1Counters {
-        let totals = self.store.totals();
-        Stage1Counters {
-            hits: totals.hits,
-            misses: totals.misses,
-            evictions: totals.evictions,
-            entries: totals.entries,
-            approx_bytes: totals.weight,
-            capacity_bytes: self.capacity_bytes,
-        }
+    /// Occupancy gauges, read from the shards now:
+    /// `serve_stage1_cache_{entries,bytes,capacity_bytes}`.
+    pub fn gauges(&self) -> Vec<(String, i64)> {
+        self.store.gauges()
     }
 }
 
@@ -174,16 +172,21 @@ mod tests {
         )
     }
 
+    fn counters(reg: &Registry, cache: &Stage1Cache) -> Stage1Counters {
+        Stage1Counters::from_snapshot(&reg.snapshot().with_gauges(cache.gauges()), NAME)
+    }
+
     #[test]
     fn provide_computes_once_per_document() {
         let qkb = tiny_system();
-        let cache = Stage1Cache::new(64 << 20, 4);
+        let reg = Registry::new();
+        let cache = Stage1Cache::new(64 << 20, 4, &reg);
         let before = qkb.counters().stage1_computed();
         let a = cache.provide(&qkb, "Ada Lovelace wrote the first program.");
         let b = cache.provide(&qkb, "Ada Lovelace wrote the first program.");
         assert_eq!(qkb.counters().stage1_computed() - before, 1);
         assert!(Arc::ptr_eq(&a, &b), "the hit must share the artifact");
-        let c = cache.counters();
+        let c = counters(&reg, &cache);
         assert_eq!((c.hits, c.misses), (1, 1));
         assert!(c.approx_bytes > 0);
         assert_eq!(c.entries, 1);
@@ -192,12 +195,13 @@ mod tests {
     #[test]
     fn zero_capacity_disables_without_counting() {
         let qkb = tiny_system();
-        let cache = Stage1Cache::new(0, 4);
+        let reg = Registry::new();
+        let cache = Stage1Cache::new(0, 4, &reg);
         assert!(!cache.is_enabled());
         let _ = cache.provide(&qkb, "Some document.");
         let _ = cache.provide(&qkb, "Some document.");
         assert_eq!(qkb.counters().stage1_computed(), 2);
-        let c = cache.counters();
+        let c = counters(&reg, &cache);
         assert_eq!((c.hits, c.misses, c.entries), (0, 0, 0));
     }
 
@@ -207,13 +211,14 @@ mod tests {
         let probe = Arc::new(qkb.process_doc_stage1("A short probe document."));
         let one_doc = probe.approx_bytes() as u64;
         // Room for ~2 artifacts of this size in a single shard.
-        let cache = Stage1Cache::new(one_doc * 2 + one_doc / 2, 1);
+        let reg = Registry::new();
+        let cache = Stage1Cache::new(one_doc * 2 + one_doc / 2, 1, &reg);
         for text in ["Doc one here.", "Doc two here.", "Doc three here."] {
             let _ = cache.provide(&qkb, text);
         }
-        let c = cache.counters();
+        let c = counters(&reg, &cache);
         assert!(c.evictions >= 1, "counters: {c:?}");
         assert!(c.approx_bytes <= c.capacity_bytes, "counters: {c:?}");
-        assert!(cache.len() < 3);
+        assert!(c.entries < 3);
     }
 }

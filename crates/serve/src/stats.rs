@@ -1,11 +1,20 @@
-//! Serving metrics: lock-free counters while serving, a consistent-enough
-//! [`ServeStats`] snapshot on demand (p50/p95 latency, throughput, cache
-//! hit rate, per-stage build time).
+//! Serving metrics: every serving counter lives once, in one
+//! [`qkb_obs::Registry`] the server builds. The request path writes its
+//! own `serve_*` counters here; the three cache tiers, the session store
+//! and the prefix forest take their counter handles from the same
+//! registry when they are built. Occupancy (entries, bytes, capacity,
+//! live sessions, frozen layers) is read from the live stores when a
+//! snapshot is taken and never stored in the registry, so one
+//! [`Registry::reset`] zeroes exactly the counters.
+//!
+//! One [`RegistrySnapshot`] feeds both renderings: [`ServeStats`] reads
+//! its values by name (p50/p95 latency still come from the sample ring)
+//! and `QkbServer::metrics_text` prints it as Prometheus text.
 
 use crate::cache::CacheCounters;
-use crate::component_cache::ComponentCacheCounters;
 use crate::stage1_cache::Stage1Counters;
-use qkb_obs::{Counter, Histogram, Registry};
+use crate::{component_cache, stage1_cache};
+use qkb_obs::{Counter, Histogram, Registry, RegistrySnapshot};
 use qkb_session::SessionStats;
 use qkb_util::json::Value;
 use qkbfly::{ResolveCounters, StageTimings};
@@ -73,13 +82,9 @@ impl LatencyRing {
     }
 }
 
-/// Shared interior-mutable metrics sink the worker shards write into.
-///
-/// Every cell lives in a [`qkb_obs::Registry`] under a stable
-/// `serve_*` name; the struct holds pre-resolved handles so hot-path
-/// updates stay single atomic ops. [`ServeStats`] aggregates the same
-/// cells, and the registry snapshot (Prometheus text, all-zero reset
-/// checks) is exposed through [`ServeMetrics::registry`].
+/// The registry plus the request path's own metrics: pre-resolved
+/// counter handles (hot-path updates stay single atomic ops), the
+/// throughput clock and the latency ring.
 pub(crate) struct ServeMetrics {
     registry: Registry,
     started: Mutex<Instant>,
@@ -102,7 +107,6 @@ pub(crate) struct ServeMetrics {
     resolve_cache_hits: Counter,
     resolve_cache_misses: Counter,
     resolve_cache_bypass: Counter,
-    forest_forks: Counter,
     /// Log-scale latency distribution for the text exposition; exact
     /// percentiles still come from the sample ring below.
     latency_hist: Histogram,
@@ -132,7 +136,6 @@ impl ServeMetrics {
             resolve_cache_hits: registry.counter("serve_resolve_cache_hits_total"),
             resolve_cache_misses: registry.counter("serve_resolve_cache_misses_total"),
             resolve_cache_bypass: registry.counter("serve_resolve_cache_bypass_total"),
-            forest_forks: registry.counter("serve_forest_forks_total"),
             latency_hist: registry.histogram("serve_request_latency_us"),
             registry,
             started: Mutex::new(Instant::now()),
@@ -140,7 +143,7 @@ impl ServeMetrics {
         }
     }
 
-    /// The registry backing every counter above.
+    /// The registry every serving counter lives in.
     pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -194,12 +197,6 @@ impl ServeMetrics {
         self.inflight_coalesced.inc();
     }
 
-    /// One session turn answered by forking a shared prefix from the
-    /// prefix forest.
-    pub(crate) fn note_forest_fork(&self) {
-        self.forest_forks.inc();
-    }
-
     pub(crate) fn note_request(&self, latency: Duration) {
         self.requests.inc();
         let us = latency.as_micros() as u64;
@@ -207,10 +204,10 @@ impl ServeMetrics {
         self.latencies_us.lock().expect("latency sink").push(us);
     }
 
-    /// Zeroes every counter and restarts the throughput clock — the
-    /// benchmark phase boundary (`QkbServer::reset_stats` also resets
-    /// both cache tiers' and the session store's counters so phases
-    /// never hand-subtract).
+    /// Zeroes every serving counter — one [`Registry::reset`] — and
+    /// restarts the throughput clock and the latency ring: the benchmark
+    /// phase boundary. Occupancy is not in the registry, so cached
+    /// entries and live sessions read the same before and after.
     pub(crate) fn reset(&self) {
         *self.started.lock().expect("metrics clock") = Instant::now();
         // Zeroes every registry cell in place — the pre-resolved
@@ -220,76 +217,75 @@ impl ServeMetrics {
         self.latencies_us.lock().expect("latency sink").clear();
     }
 
-    pub(crate) fn snapshot(
-        &self,
-        cache: CacheCounters,
-        stage1: Stage1Counters,
-        component: ComponentCacheCounters,
-        sessions: SessionStats,
-    ) -> ServeStats {
+    /// The [`ServeStats`] view of `snap`, a snapshot of this registry
+    /// with the stores' occupancy gauges added.
+    pub(crate) fn stats(&self, snap: &RegistrySnapshot) -> ServeStats {
         // Copy out under the lock, sort after releasing it: requests
         // completing during a snapshot must not stall on a 2^20-sample
         // sort inside note_request.
-        let (mut samples, latency_samples_dropped) = {
+        let (samples, latency_samples_dropped) = {
             let ring = self.latencies_us.lock().expect("latency sink");
             (ring.resident(), ring.dropped())
         };
-        samples.sort_unstable();
-        let samples = samples;
-        // Nearest-rank with clamped index: zero samples reports 0.0 for
-        // every percentile (idle server, not NaN), and a single sample
-        // reports itself as p50, p95 and mean alike.
-        let pct = |q: f64| -> f64 {
-            if samples.is_empty() {
-                return 0.0;
-            }
-            let idx = (((samples.len() as f64 - 1.0) * q).round() as usize).min(samples.len() - 1);
-            samples[idx] as f64 / 1000.0
-        };
-        let mean_ms = if samples.is_empty() {
-            0.0
-        } else {
-            samples.iter().sum::<u64>() as f64 / samples.len() as f64 / 1000.0
-        };
+        let latency_samples = samples.len() as u64;
+        let [latency_p50_ms, latency_p95_ms, latency_mean_ms] = latency_ms(samples);
         let elapsed = self.started.lock().expect("metrics clock").elapsed();
-        let requests = self.requests.get();
+        let c = |name: &str| snap.expect_counter(name);
+        let us = |name: &str| Duration::from_micros(c(name));
+        let requests = c("serve_requests_total");
         ServeStats {
             requests,
             elapsed,
             throughput_rps: requests as f64 / elapsed.as_secs_f64().max(1e-9),
-            latency_p50_ms: pct(0.50),
-            latency_p95_ms: pct(0.95),
-            latency_mean_ms: mean_ms,
-            latency_samples: samples.len() as u64,
+            latency_p50_ms,
+            latency_p95_ms,
+            latency_mean_ms,
+            latency_samples,
             latency_samples_dropped,
-            cache,
-            stage1,
-            component,
-            sessions,
-            batches: self.batches.get(),
-            build_rounds: self.build_rounds.get(),
-            cold_builds: self.cold_builds.get(),
-            assembled_builds: self.assembled_builds.get(),
-            docs_built: self.docs_built.get(),
-            batch_coalesced: self.batch_coalesced.get(),
-            inflight_coalesced: self.inflight_coalesced.get(),
+            cache: CacheCounters::from_snapshot(snap),
+            stage1: Stage1Counters::from_snapshot(snap, stage1_cache::NAME),
+            component: Stage1Counters::from_snapshot(snap, component_cache::NAME),
+            sessions: SessionStats::from_snapshot(snap),
+            batches: c("serve_batches_total"),
+            build_rounds: c("serve_build_rounds_total"),
+            cold_builds: c("serve_cold_builds_total"),
+            assembled_builds: c("serve_assembled_builds_total"),
+            docs_built: c("serve_docs_built_total"),
+            batch_coalesced: c("serve_batch_coalesced_total"),
+            inflight_coalesced: c("serve_inflight_coalesced_total"),
             build_timings: StageTimings {
-                preprocess: Duration::from_micros(self.build_preprocess_us.get()),
-                graph: Duration::from_micros(self.build_graph_us.get()),
-                resolve: Duration::from_micros(self.build_resolve_us.get()),
-                canonicalize: Duration::from_micros(self.build_canonicalize_us.get()),
+                preprocess: us("serve_build_preprocess_us_total"),
+                graph: us("serve_build_graph_us_total"),
+                resolve: us("serve_build_resolve_us_total"),
+                canonicalize: us("serve_build_canonicalize_us_total"),
             },
             resolve_counters: ResolveCounters {
-                components: self.resolve_components.get(),
-                ilp_variables: self.ilp_variables.get(),
-                bnb_nodes: self.bnb_nodes.get(),
-                pruned_candidates: self.pruned_candidates.get(),
-                cache_hits: self.resolve_cache_hits.get(),
-                cache_misses: self.resolve_cache_misses.get(),
-                cache_bypass: self.resolve_cache_bypass.get(),
+                components: c("serve_resolve_components_total"),
+                ilp_variables: c("serve_ilp_variables_total"),
+                bnb_nodes: c("serve_bnb_nodes_total"),
+                pruned_candidates: c("serve_pruned_candidates_total"),
+                cache_hits: c("serve_resolve_cache_hits_total"),
+                cache_misses: c("serve_resolve_cache_misses_total"),
+                cache_bypass: c("serve_resolve_cache_bypass_total"),
             },
         }
     }
+}
+
+/// Nearest-rank p50 and p95 and the mean of latency samples (µs), in ms,
+/// with a clamped index: zero samples report 0.0 everywhere (idle
+/// server, not NaN), and a single sample reports itself everywhere.
+fn latency_ms(mut samples: Vec<u64>) -> [f64; 3] {
+    if samples.is_empty() {
+        return [0.0; 3];
+    }
+    samples.sort_unstable();
+    let pct = |q: f64| {
+        let idx = (((samples.len() as f64 - 1.0) * q).round() as usize).min(samples.len() - 1);
+        samples[idx] as f64 / 1000.0
+    };
+    let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64 / 1000.0;
+    [pct(0.50), pct(0.95), mean]
 }
 
 /// A point-in-time view of the server's health.
@@ -297,9 +293,10 @@ impl ServeMetrics {
 pub struct ServeStats {
     /// Requests answered.
     pub requests: u64,
-    /// Time since the server started.
+    /// Time since the server started, or since the last
+    /// `QkbServer::reset_stats`, which restarts this clock.
     pub elapsed: Duration,
-    /// Requests per second over the server's lifetime.
+    /// Requests per second over `elapsed`.
     pub throughput_rps: f64,
     /// Median queue-to-reply latency (ms).
     pub latency_p50_ms: f64,
@@ -322,7 +319,7 @@ pub struct ServeStats {
     pub stage1: Stage1Counters,
     /// Component resolve-cache counters (the tier below stage 1:
     /// cross-document coupling-component reuse in the NED+CR solver).
-    pub component: ComponentCacheCounters,
+    pub component: Stage1Counters,
     /// Session-store counters (session-scoped streaming KBs:
     /// live/evicted sessions, extend-vs-cold turns, streaming dedup).
     pub sessions: SessionStats,
@@ -448,27 +445,27 @@ mod tests {
         assert_eq!(resident, vec![97, 98, 99]);
     }
 
+    /// The stats of a server whose tiers are all empty: the tiers
+    /// register their names in the metrics' registry and report their
+    /// occupancy, as `QkbServer::start` and `QkbServer::stats` do.
+    fn plain_snapshot(metrics: &ServeMetrics) -> ServeStats {
+        let reg = metrics.registry();
+        let gauges = [
+            crate::FragmentCache::new(0, 1, reg).gauges(),
+            crate::Stage1Cache::new(0, 1, reg).gauges(),
+            crate::ComponentCache::new(0, 1, reg).gauges(),
+            qkb_session::SessionManager::new(Default::default(), reg).gauges(),
+        ];
+        metrics.stats(&reg.snapshot().with_gauges(gauges.concat()))
+    }
+
     #[test]
     fn snapshot_surfaces_dropped_count() {
         let metrics = ServeMetrics::new();
         metrics.note_request(Duration::from_micros(100));
-        let stats = metrics.snapshot(
-            CacheCounters::default(),
-            Stage1Counters::default(),
-            ComponentCacheCounters::default(),
-            SessionStats::default(),
-        );
+        let stats = plain_snapshot(&metrics);
         assert_eq!(stats.latency_samples_dropped, 0);
         assert_eq!(stats.to_json()["latency_samples_dropped"], 0u64);
-    }
-
-    fn plain_snapshot(metrics: &ServeMetrics) -> ServeStats {
-        metrics.snapshot(
-            CacheCounters::default(),
-            Stage1Counters::default(),
-            ComponentCacheCounters::default(),
-            SessionStats::default(),
-        )
     }
 
     #[test]

@@ -5,16 +5,23 @@
 //!    export alone) contains the admission wait, the per-stage build
 //!    spans, per-component resolve spans, and the cache-outcome lookup
 //!    span, all correctly nested under the request root;
-//! 2. **reset audit** — `QkbServer::reset_stats` zeroes the metrics
-//!    registry, both cache tiers and the session store in one call
-//!    (all-zero snapshots afterwards), without touching resident state.
+//! 2. **one exposition** — every counter and gauge of the `ServeStats`
+//!    JSON is exactly one Prometheus series with the same value, and
+//!    every series line of the network tier's text follows a `# TYPE`
+//!    line;
+//! 3. **reset audit** — `QkbServer::reset_stats` zeroes every counter and
+//!    histogram of the one registry — request path, all three cache
+//!    tiers, the session store and the forest — while every occupancy
+//!    gauge keeps its value and resident state survives.
 
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
+use qkb_net::{JournalConfig, NetClient, NetConfig, QkbNetServer};
 use qkb_obs::Recorder;
 use qkb_qa::QaSystem;
 use qkb_serve::{QkbServer, QueryRequest, ServeConfig, Served};
 use qkb_util::json::Value;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A small but real engine: generated world, BM25 corpus, QKBfly system.
@@ -39,6 +46,28 @@ fn engine() -> QaSystem {
 
 fn question(sys: &QaSystem) -> String {
     trends_test(sys.world(), 1, 13).remove(0).text
+}
+
+/// A one-shot miss and hit, then a cold, a forked and an extended
+/// session turn: traffic that moves every tier. Returns the one-shot
+/// question.
+fn drive_every_tier(server: &QkbServer<Arc<QaSystem>>, sys: &QaSystem) -> String {
+    let qs: Vec<String> = trends_test(sys.world(), 2, 13)
+        .into_iter()
+        .map(|q| q.text)
+        .collect();
+    let ask = |q: &str| server.query(QueryRequest::question(q)).served;
+    assert_eq!(ask(&qs[0]), Served::ColdBuild);
+    assert_eq!(ask(&qs[0]), Served::CacheHit);
+    let turn = |id: &str, q: &str| {
+        server
+            .query_in_session(id, QueryRequest::question(q))
+            .served
+    };
+    assert_eq!(turn("alice", &qs[0]), Served::SessionCold);
+    assert_eq!(turn("bob", &qs[0]), Served::SessionForked);
+    assert_eq!(turn("alice", &qs[1]), Served::SessionExtended);
+    qs[0].clone()
 }
 
 /// One span event decoded back out of the exported JSON.
@@ -339,10 +368,23 @@ fn forked_sessions_trace_the_freeze_and_fork_with_matching_fingerprints() {
     let bob = server.query_in_session("bob", QueryRequest::question(&q));
     assert_eq!(bob.served, Served::SessionForked);
 
-    // Metrics: the fork counter lives in the registry, the occupancy
-    // gauges come from the live forest.
+    // Metrics: the fork counters live in the registry, the occupancy
+    // gauges come from the live forest. One fork moves exactly two
+    // counters: the live turn it served and the forest's fork.
     let snap = server.registry_snapshot();
-    assert_eq!(snap.counter("serve_forest_forks_total"), Some(1));
+    let forks: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.contains("fork"))
+        .map(|(name, v)| (name.as_str(), *v))
+        .collect();
+    assert_eq!(
+        forks,
+        [
+            ("serve_forest_forks_total", 1),
+            ("serve_session_turns_forked_total", 1)
+        ]
+    );
     let text = server.metrics_text();
     assert!(text.contains("serve_forest_forks_total 1"));
     assert!(text.contains("serve_forest_freezes_total 1"));
@@ -396,13 +438,14 @@ fn forked_sessions_trace_the_freeze_and_fork_with_matching_fingerprints() {
     assert_eq!(turn_of(fork), "session_turn");
 }
 
-/// `reset_stats` is one audited call: the metrics registry, both cache
-/// tiers and the session store all read zero afterwards, while resident
-/// state (cached fragments, live sessions) survives.
+/// `reset_stats` is one audited call: every counter and histogram of
+/// the one registry reads zero afterwards — the request path, all three
+/// cache tiers, the session store and the forest — while every
+/// occupancy gauge keeps its value and resident state (cached
+/// fragments, live sessions) survives.
 #[test]
 fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
     let sys = Arc::new(engine());
-    let q = question(&sys);
     let server = QkbServer::start(
         sys.clone(),
         ServeConfig {
@@ -412,27 +455,44 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
             ..ServeConfig::default()
         },
     );
-    let _ = server.query(QueryRequest::question(&q));
-    let _ = server.query(QueryRequest::question(&q));
-    let _ = server.query_in_session("s", QueryRequest::question(&q));
+    let q = drive_every_tier(&server, &sys);
     let busy = server.registry_snapshot();
-    assert!(!busy.is_zero(), "traffic must reach the registry");
-    assert_eq!(busy.counter("serve_requests_total"), Some(3));
-    let text = server.metrics_text();
-    assert!(text.contains("serve_requests_total 3"));
+    for name in [
+        "serve_requests_total",
+        "serve_fragment_cache_hits_total",
+        "serve_fragment_cache_misses_total",
+        "serve_stage1_cache_misses_total",
+        "serve_component_cache_misses_total",
+        "serve_session_created_total",
+        "serve_session_turns_cold_total",
+        "serve_session_turns_extended_total",
+        "serve_session_docs_merged_total",
+        "serve_forest_forks_total",
+        "serve_forest_freezes_total",
+    ] {
+        assert!(busy.expect_counter(name) > 0, "traffic must reach {name}");
+    }
+    assert_eq!(busy.expect_counter("serve_requests_total"), 5);
     let busy_stats = server.stats();
     assert!(
         busy_stats.component.hits + busy_stats.component.misses > 0,
         "builds must reach the component resolve cache"
     );
-    assert!(text.contains("serve_component_cache_hits_total"));
-    assert!(text.contains("serve_component_cache_bytes"));
 
     server.reset_stats();
-    assert!(
-        server.registry_snapshot().is_zero(),
-        "reset must zero every registry cell"
+    let reset = server.registry_snapshot();
+    for (name, v) in &reset.counters {
+        assert_eq!(*v, 0, "reset must zero {name}");
+    }
+    for (name, h) in &reset.histograms {
+        assert_eq!(h.count, 0, "reset must zero {name}");
+    }
+    assert_eq!(
+        reset.gauges, busy.gauges,
+        "occupancy is read from the stores and survives the reset"
     );
+    assert!(reset.expect_gauge("serve_component_cache_entries") > 0);
+    assert_eq!(reset.expect_gauge("serve_session_live"), 2);
     let stats = server.stats();
     assert_eq!(stats.requests, 0);
     assert_eq!(stats.latency_samples, 0);
@@ -453,9 +513,319 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
     // extends, and the registry fills back up from the same handles.
     let warm = server.query(QueryRequest::question(&q));
     assert_eq!(warm.served, Served::CacheHit);
-    let turn = server.query_in_session("s", QueryRequest::question(&q));
+    let turn = server.query_in_session("alice", QueryRequest::question(&q));
     assert_eq!(turn.served, Served::SessionExtended);
     let snap = server.registry_snapshot();
     assert_eq!(snap.counter("serve_requests_total"), Some(2));
     server.shutdown();
+}
+
+/// The Prometheus series of each counter and gauge in the
+/// `ServeStats` JSON, keyed by JSON path. Ratios and rates, `elapsed_s`,
+/// `build_timings.total_us` and the latency-ring fields are derived or
+/// windowed values, not series, and are exempt.
+const SERIES: &[(&str, &str)] = &[
+    ("requests", "serve_requests_total"),
+    ("cache_hits", "serve_fragment_cache_hits_total"),
+    ("cache_misses", "serve_fragment_cache_misses_total"),
+    ("cache_evictions", "serve_fragment_cache_evictions_total"),
+    ("cache_entries", "serve_fragment_cache_entries"),
+    ("stage1_hits", "serve_stage1_cache_hits_total"),
+    ("stage1_misses", "serve_stage1_cache_misses_total"),
+    ("stage1_evictions", "serve_stage1_cache_evictions_total"),
+    ("stage1_entries", "serve_stage1_cache_entries"),
+    ("stage1_bytes", "serve_stage1_cache_bytes"),
+    ("stage1_capacity_bytes", "serve_stage1_cache_capacity_bytes"),
+    ("component_hits", "serve_component_cache_hits_total"),
+    ("component_misses", "serve_component_cache_misses_total"),
+    (
+        "component_evictions",
+        "serve_component_cache_evictions_total",
+    ),
+    ("component_entries", "serve_component_cache_entries"),
+    ("component_bytes", "serve_component_cache_bytes"),
+    (
+        "component_capacity_bytes",
+        "serve_component_cache_capacity_bytes",
+    ),
+    ("sessions.live", "serve_session_live"),
+    ("sessions.approx_bytes", "serve_session_bytes"),
+    ("sessions.capacity_bytes", "serve_session_capacity_bytes"),
+    ("sessions.created", "serve_session_created_total"),
+    ("sessions.evicted_ttl", "serve_session_evicted_ttl_total"),
+    (
+        "sessions.evicted_pressure",
+        "serve_session_evicted_pressure_total",
+    ),
+    ("sessions.turns_cold", "serve_session_turns_cold_total"),
+    (
+        "sessions.turns_extended",
+        "serve_session_turns_extended_total",
+    ),
+    ("sessions.turns_forked", "serve_session_turns_forked_total"),
+    ("sessions.docs_merged", "serve_session_docs_merged_total"),
+    ("sessions.docs_deduped", "serve_session_docs_deduped_total"),
+    ("sessions.forest_forks", "serve_forest_forks_total"),
+    ("sessions.forest_freezes", "serve_forest_freezes_total"),
+    ("sessions.forest_evicted", "serve_forest_evicted_total"),
+    (
+        "sessions.forest_frozen_layers",
+        "serve_forest_frozen_layers",
+    ),
+    ("sessions.forest_shared_bytes", "serve_forest_shared_bytes"),
+    ("sessions.forest_layer_refs", "serve_forest_layer_refs"),
+    ("batches", "serve_batches_total"),
+    ("build_rounds", "serve_build_rounds_total"),
+    ("cold_builds", "serve_cold_builds_total"),
+    ("assembled_builds", "serve_assembled_builds_total"),
+    ("docs_built", "serve_docs_built_total"),
+    ("batch_coalesced", "serve_batch_coalesced_total"),
+    ("inflight_coalesced", "serve_inflight_coalesced_total"),
+    (
+        "build_timings.preprocess_us",
+        "serve_build_preprocess_us_total",
+    ),
+    ("build_timings.graph_us", "serve_build_graph_us_total"),
+    ("build_timings.resolve_us", "serve_build_resolve_us_total"),
+    (
+        "build_timings.canonicalize_us",
+        "serve_build_canonicalize_us_total",
+    ),
+    (
+        "resolve_counters.components",
+        "serve_resolve_components_total",
+    ),
+    (
+        "resolve_counters.ilp_variables",
+        "serve_ilp_variables_total",
+    ),
+    ("resolve_counters.bnb_nodes", "serve_bnb_nodes_total"),
+    (
+        "resolve_counters.pruned_candidates",
+        "serve_pruned_candidates_total",
+    ),
+    (
+        "resolve_counters.cache_hits",
+        "serve_resolve_cache_hits_total",
+    ),
+    (
+        "resolve_counters.cache_misses",
+        "serve_resolve_cache_misses_total",
+    ),
+    (
+        "resolve_counters.cache_bypass",
+        "serve_resolve_cache_bypass_total",
+    ),
+];
+
+const EXEMPT: &[&str] = &[
+    "elapsed_s",
+    "throughput_rps",
+    "latency_p50_ms",
+    "latency_p95_ms",
+    "latency_mean_ms",
+    "latency_samples",
+    "latency_samples_dropped",
+    "cache_hit_rate",
+    "stage1_hit_rate",
+    "component_hit_rate",
+    "sessions.dedup_rate",
+    "build_timings.total_us",
+];
+
+/// Every name the serve tier exported before its counters moved into
+/// one registry: none may disappear.
+const EXPORTED_BEFORE: &[&str] = &[
+    "serve_requests_total",
+    "serve_batches_total",
+    "serve_build_rounds_total",
+    "serve_cold_builds_total",
+    "serve_assembled_builds_total",
+    "serve_docs_built_total",
+    "serve_batch_coalesced_total",
+    "serve_inflight_coalesced_total",
+    "serve_build_preprocess_us_total",
+    "serve_build_graph_us_total",
+    "serve_build_resolve_us_total",
+    "serve_build_canonicalize_us_total",
+    "serve_resolve_components_total",
+    "serve_ilp_variables_total",
+    "serve_bnb_nodes_total",
+    "serve_pruned_candidates_total",
+    "serve_resolve_cache_hits_total",
+    "serve_resolve_cache_misses_total",
+    "serve_resolve_cache_bypass_total",
+    "serve_forest_forks_total",
+    "serve_request_latency_us",
+    "serve_component_cache_hits_total",
+    "serve_component_cache_misses_total",
+    "serve_component_cache_evictions_total",
+    "serve_component_cache_entries",
+    "serve_component_cache_bytes",
+    "serve_component_cache_capacity_bytes",
+    "serve_forest_freezes_total",
+    "serve_forest_evicted_total",
+    "serve_forest_frozen_layers",
+    "serve_forest_shared_bytes",
+    "serve_forest_layer_refs",
+];
+
+/// Numeric leaves of a JSON object, keyed by dotted path.
+fn json_leaves(v: &Value, prefix: &str, out: &mut BTreeMap<String, f64>) {
+    let Value::Object(fields) = v else {
+        panic!("object expected at {prefix:?}");
+    };
+    for (key, value) in fields {
+        let path = if prefix.is_empty() {
+            key.clone()
+        } else {
+            format!("{prefix}.{key}")
+        };
+        match value {
+            Value::Object(_) => json_leaves(value, &path, out),
+            other => {
+                let n = other
+                    .as_f64()
+                    .unwrap_or_else(|| panic!("numeric {path}: {other:?}"));
+                out.insert(path, n);
+            }
+        }
+    }
+}
+
+/// Unlabelled series of a Prometheus text, with how often each appears.
+fn series(text: &str) -> BTreeMap<&str, (f64, usize)> {
+    let mut out: BTreeMap<&str, (f64, usize)> = BTreeMap::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let (name, value) = line.rsplit_once(' ').expect("series line");
+        if name.contains('{') {
+            continue;
+        }
+        let entry = out.entry(name).or_insert((0.0, 0));
+        *entry = (value.parse().expect("numeric series value"), entry.1 + 1);
+    }
+    out
+}
+
+#[test]
+fn every_stats_value_is_exactly_one_prometheus_series() {
+    let sys = Arc::new(engine());
+    let server = QkbServer::start(
+        sys.clone(),
+        ServeConfig {
+            shards: 1,
+            batch_max: 1,
+            ..ServeConfig::default()
+        },
+    );
+    drive_every_tier(&server, &sys);
+    // One snapshot behind both renderings, so no traffic in between.
+    let stats = server.stats();
+    let text = server.metrics_text();
+    server.shutdown();
+
+    let mut json = BTreeMap::new();
+    json_leaves(&stats.to_json(), "", &mut json);
+    let mapped: BTreeMap<&str, &str> = SERIES.iter().copied().collect();
+    assert_eq!(mapped.len(), SERIES.len(), "one entry per JSON path");
+    let counted: Vec<&str> = json
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !EXEMPT.contains(k))
+        .collect();
+    assert_eq!(
+        counted,
+        mapped.keys().copied().collect::<Vec<_>>(),
+        "every counter and gauge in the JSON has a series, and no other"
+    );
+    let mut names: Vec<&str> = mapped.values().copied().collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), SERIES.len(), "no series stands for two values");
+
+    let exposed = series(&text);
+    let mut wrong = Vec::new();
+    for (path, name) in SERIES {
+        let value = json[*path];
+        match exposed.get(name) {
+            Some(&(v, 1)) if v == value => {}
+            got => wrong.push(format!("{path} = {value}: {name} -> {got:?}")),
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} values without their one series:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+    assert!(
+        stats.sessions.turns_forked == 1 && stats.cache.hits == 1,
+        "the traffic reached every tier: {stats:?}"
+    );
+    for name in EXPORTED_BEFORE {
+        assert!(
+            text.contains(&format!("# TYPE {name} ")),
+            "{name} is no longer exported"
+        );
+    }
+}
+
+#[test]
+fn every_network_tier_series_follows_its_type_line() {
+    let sys = Arc::new(engine());
+    let dir = std::env::temp_dir().join(format!("qkb_obs_types_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut journal = JournalConfig::new(&dir);
+    journal.fsync = false;
+    let server = QkbNetServer::start(
+        sys.clone(),
+        NetConfig {
+            journal: Some(journal),
+            serve: ServeConfig {
+                shards: 1,
+                batch_max: 1,
+                ..ServeConfig::default()
+            },
+            ..NetConfig::default()
+        },
+    )
+    .expect("net server starts");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let q = question(&sys);
+    client.query(QueryRequest::question(&q)).expect("query");
+    client
+        .query_in_session("s", QueryRequest::question(&q))
+        .expect("session turn");
+    let text = server.metrics_text();
+    drop(client);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for name in [
+        "serve_requests_total",
+        "net_requests_total",
+        "journal_appends_total",
+    ] {
+        assert!(text.contains(&format!("# TYPE {name} counter")), "{name}");
+    }
+    let mut typed: Option<(&str, &str)> = None;
+    for line in text.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').expect("# TYPE name kind");
+            typed = Some((name, kind));
+            continue;
+        }
+        let name = line.split([' ', '{']).next().expect("series name");
+        let (declared, kind) = typed.unwrap_or_else(|| panic!("untyped series: {line}"));
+        let ok = match kind {
+            "histogram" => ["_bucket", "_sum", "_count"]
+                .iter()
+                .any(|suffix| name.strip_suffix(suffix) == Some(declared)),
+            _ => name == declared,
+        };
+        assert!(
+            ok,
+            "{line:?} does not follow its # TYPE line ({declared} {kind})"
+        );
+    }
 }

@@ -16,7 +16,9 @@ use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
 use qkb_kb::OnTheFlyKb;
 use qkb_qa::QaSystem;
-use qkb_serve::{QkbServer, QueryEngine, QueryRequest, ServeConfig, Served};
+use qkb_serve::{
+    ForestConfig, QkbServer, QueryEngine, QueryRequest, ServeConfig, Served, SessionConfig,
+};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
@@ -270,7 +272,6 @@ fn capacity_one_cache_evicts_under_alternation_and_hits_under_repeats() {
         ServeConfig {
             shards: 1,
             cache_capacity: 1,
-            cache_shards: 1,
             batch_max: 1,
             ..ServeConfig::default()
         },
@@ -591,7 +592,13 @@ fn cross_session_component_reuse_hits_the_shared_resolve_tier() {
             stage1_cache_bytes: 0, // force the resolve stage to re-run
             // Forest off: a fork would skip the rebuild entirely; this
             // test pins the resolve tier below it.
-            session_forest: false,
+            session: SessionConfig {
+                forest: ForestConfig {
+                    enabled: false,
+                    ..ForestConfig::default()
+                },
+                ..SessionConfig::default()
+            },
             ..ServeConfig::default()
         },
     );
@@ -628,7 +635,10 @@ fn idle_sessions_expire_through_the_serve_config_ttl() {
         sys.clone(),
         ServeConfig {
             shards: 1,
-            session_ttl: Duration::from_millis(50),
+            session: SessionConfig {
+                ttl: Duration::from_millis(50),
+                ..SessionConfig::default()
+            },
             ..ServeConfig::default()
         },
     );

@@ -15,17 +15,25 @@
 //!
 //! # Eviction vs. refcounts
 //!
-//! The registry holds one `Arc` per chain layer; every live fork holds
-//! its own. Evicting a chain from the registry (LRU under
-//! [`ForestConfig::max_bytes`]) only drops the registry's references —
+//! The forest holds one `Arc` per chain layer; every live fork holds
+//! its own. Evicting a chain from the forest (LRU under
+//! [`ForestConfig::max_bytes`]) only drops the forest's references —
 //! existing forks keep reading their layers untouched, and the layer
 //! memory is reclaimed when the **last** fork dies. The
 //! [`ForestStats::layer_refs`] gauge counts the fork-held references so
 //! that protocol is observable.
+//!
+//! # Metrics
+//!
+//! The fork, freeze, miss and eviction counters are handles into the
+//! serving tier's metrics registry (`serve_forest_*_total`); the
+//! occupancy gauges — frozen layers, shared bytes, layer refs — are
+//! read from the chains when a snapshot is taken
+//! ([`PrefixForest::gauges`]).
 
 use qkb_kb::KbPrefix;
+use qkb_obs::{Counter, Registry, RegistrySnapshot};
 use qkb_util::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Prefix-forest knobs of a session store.
@@ -34,9 +42,9 @@ pub struct ForestConfig {
     /// Master switch: `false` gives every session a fully private KB
     /// (the pre-forest behavior).
     pub enabled: bool,
-    /// Byte budget of the *registry* (sum of registered chain bytes);
-    /// least-recently-used chains are dropped beyond it. Live forks are
-    /// unaffected — their layers die with the last fork.
+    /// Byte budget of the registered chains; least-recently-used chains
+    /// are dropped beyond it. Live forks are unaffected — their layers
+    /// die with the last fork.
     pub max_bytes: u64,
 }
 
@@ -68,16 +76,16 @@ struct ForestInner {
 /// [`crate::SessionStats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ForestStats {
-    /// Sessions that started by forking a registered prefix.
+    /// Sessions that started by forking a registered prefix: every
+    /// opening-turn lookup that found a matching chain, journal replays
+    /// included.
     pub forks: u64,
     /// Prefixes frozen and registered.
     pub freezes: u64,
-    /// Opening-turn lookups that found a matching chain.
-    pub hits: u64,
-    /// Opening-turn lookups that found none (the session built cold and
-    /// registered its prefix).
+    /// Opening-turn lookups that found no chain (the session built cold
+    /// and registered its prefix).
     pub misses: u64,
-    /// Chains dropped from the registry by the byte-budget LRU.
+    /// Chains dropped from the forest by the byte-budget LRU.
     pub evicted: u64,
     /// Distinct frozen layers currently registered.
     pub frozen_layers: usize,
@@ -85,41 +93,57 @@ pub struct ForestStats {
     /// of how many sessions fork them.
     pub shared_bytes: u64,
     /// Fork-held references to registered layers (Arc strong counts
-    /// minus the registry's own) — the refcount gauge behind the
-    /// eviction protocol.
+    /// minus the forest's own) — the refcount gauge behind the eviction
+    /// protocol.
     pub layer_refs: u64,
 }
 
-/// The registry. One per [`crate::SessionManager`]; shared with every
-/// session it claims.
+impl ForestStats {
+    /// The forest's counters and occupancy gauges in `snap`.
+    pub fn from_snapshot(snap: &RegistrySnapshot) -> Self {
+        ForestStats {
+            forks: snap.expect_counter("serve_forest_forks_total"),
+            freezes: snap.expect_counter("serve_forest_freezes_total"),
+            misses: snap.expect_counter("serve_forest_misses_total"),
+            evicted: snap.expect_counter("serve_forest_evicted_total"),
+            frozen_layers: snap.expect_gauge("serve_forest_frozen_layers") as usize,
+            shared_bytes: snap.expect_gauge("serve_forest_shared_bytes") as u64,
+            layer_refs: snap.expect_gauge("serve_forest_layer_refs") as u64,
+        }
+    }
+}
+
+/// The registry of frozen chains. One per [`crate::SessionManager`];
+/// shared with every session it claims.
 #[derive(Debug)]
 pub struct PrefixForest {
     inner: Mutex<ForestInner>,
     max_bytes: u64,
-    forks: AtomicU64,
-    freezes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evicted: AtomicU64,
+    metrics: Registry,
+    forks: Counter,
+    freezes: Counter,
+    misses: Counter,
+    evicted: Counter,
 }
 
 impl PrefixForest {
-    /// An empty forest with the given registry byte budget.
-    pub fn new(max_bytes: u64) -> Self {
+    /// An empty forest with the given chain byte budget, counting into
+    /// `registry`.
+    pub fn new(max_bytes: u64, registry: &Registry) -> Self {
         PrefixForest {
             inner: Mutex::new(ForestInner::default()),
             max_bytes,
-            forks: AtomicU64::new(0),
-            freezes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            metrics: registry.clone(),
+            forks: registry.counter("serve_forest_forks_total"),
+            freezes: registry.counter("serve_forest_freezes_total"),
+            misses: registry.counter("serve_forest_misses_total"),
+            evicted: registry.counter("serve_forest_evicted_total"),
         }
     }
 
     /// The chain whose full merged-document sequence fingerprints to
-    /// `key`, if registered. A hit touches the LRU stamp; hit/miss land
-    /// in the counters.
+    /// `key`, if registered. A hit touches the LRU stamp and counts as a
+    /// fork — the caller opens its session on the returned layers.
     pub fn lookup(&self, key: u64) -> Option<Vec<Arc<KbPrefix>>> {
         let mut inner = self.inner.lock().expect("forest lock");
         inner.seq += 1;
@@ -127,11 +151,11 @@ impl PrefixForest {
         match inner.chains.get_mut(&key) {
             Some(entry) => {
                 entry.seq = seq;
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.forks.inc();
                 Some(entry.layers.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 None
             }
         }
@@ -151,7 +175,7 @@ impl PrefixForest {
         if inner.chains.contains_key(&key) {
             return;
         }
-        self.freezes.fetch_add(1, Ordering::Relaxed);
+        self.freezes.inc();
         inner.seq += 1;
         let seq = inner.seq;
         let bytes: u64 = layers.iter().map(|l| l.approx_bytes()).sum();
@@ -175,17 +199,12 @@ impl PrefixForest {
                 Some(k) => {
                     if let Some(e) = inner.chains.remove(&k) {
                         inner.total_bytes -= e.bytes;
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
+                        self.evicted.inc();
                     }
                 }
                 None => break,
             }
         }
-    }
-
-    /// Counts one session fork off a registered chain.
-    pub fn note_fork(&self) {
-        self.forks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every registered chain. Live forks keep their layers; the
@@ -196,55 +215,44 @@ impl PrefixForest {
         inner.total_bytes = 0;
     }
 
-    /// Zeroes the monotonic counters (benchmark phase boundaries);
-    /// registry occupancy is state and stays.
-    pub fn reset_counters(&self) {
-        for c in [
-            &self.forks,
-            &self.freezes,
-            &self.hits,
-            &self.misses,
-            &self.evicted,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Point-in-time stats. Layers shared by several chains (multi-layer
-    /// chains share prefixes) are de-duplicated by identity, so
-    /// `shared_bytes` charges each frozen layer once.
-    pub fn stats(&self) -> ForestStats {
+    /// Occupancy gauges, read from the chains now:
+    /// `serve_forest_frozen_layers`, `serve_forest_shared_bytes` and
+    /// `serve_forest_layer_refs`. Layers shared by several chains
+    /// (multi-layer chains share prefixes) are de-duplicated by
+    /// identity, so shared bytes charge each frozen layer once.
+    pub fn gauges(&self) -> Vec<(String, i64)> {
         let inner = self.inner.lock().expect("forest lock");
         let mut seen: FxHashSet<*const KbPrefix> = FxHashSet::default();
-        let mut registry_refs: FxHashMap<*const KbPrefix, u64> = FxHashMap::default();
+        let mut forest_refs: FxHashMap<*const KbPrefix, u64> = FxHashMap::default();
         let mut distinct: Vec<&Arc<KbPrefix>> = Vec::new();
         for entry in inner.chains.values() {
             for layer in &entry.layers {
                 let p = Arc::as_ptr(layer);
-                *registry_refs.entry(p).or_insert(0) += 1;
+                *forest_refs.entry(p).or_insert(0) += 1;
                 if seen.insert(p) {
                     distinct.push(layer);
                 }
             }
         }
-        let shared_bytes = distinct.iter().map(|l| l.approx_bytes()).sum();
-        let layer_refs = distinct
+        let shared_bytes: u64 = distinct.iter().map(|l| l.approx_bytes()).sum();
+        let layer_refs: u64 = distinct
             .iter()
             .map(|l| {
                 let held = Arc::strong_count(l) as u64;
-                held.saturating_sub(registry_refs[&Arc::as_ptr(l)])
+                held.saturating_sub(forest_refs[&Arc::as_ptr(l)])
             })
             .sum();
-        ForestStats {
-            forks: self.forks.load(Ordering::Relaxed),
-            freezes: self.freezes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            frozen_layers: distinct.len(),
-            shared_bytes,
-            layer_refs,
-        }
+        vec![
+            ("serve_forest_frozen_layers".into(), distinct.len() as i64),
+            ("serve_forest_shared_bytes".into(), shared_bytes as i64),
+            ("serve_forest_layer_refs".into(), layer_refs as i64),
+        ]
+    }
+
+    /// Point-in-time stats: the counters from the metrics registry plus
+    /// the occupancy gauges.
+    pub fn stats(&self) -> ForestStats {
+        ForestStats::from_snapshot(&self.metrics.snapshot().with_gauges(self.gauges()))
     }
 }
 
@@ -263,7 +271,7 @@ mod tests {
 
     #[test]
     fn register_then_lookup_round_trips_and_counts() {
-        let forest = PrefixForest::new(u64::MAX);
+        let forest = PrefixForest::new(u64::MAX, &Registry::new());
         let chain = frozen_chain(1, "Ada Lovelace");
         let key = chain.last().unwrap().chain_key();
         assert!(forest.lookup(key).is_none());
@@ -271,14 +279,14 @@ mod tests {
         let got = forest.lookup(key).expect("registered");
         assert!(Arc::ptr_eq(&got[0], &chain[0]));
         let stats = forest.stats();
-        assert_eq!((stats.hits, stats.misses, stats.freezes), (1, 1, 1));
+        assert_eq!((stats.forks, stats.misses, stats.freezes), (1, 1, 1));
         assert_eq!(stats.frozen_layers, 1);
         assert_eq!(stats.shared_bytes, chain[0].approx_bytes());
     }
 
     #[test]
     fn duplicate_registration_keeps_the_first_chain() {
-        let forest = PrefixForest::new(u64::MAX);
+        let forest = PrefixForest::new(u64::MAX, &Registry::new());
         let first = frozen_chain(1, "Ada Lovelace");
         let second = frozen_chain(1, "Ada Lovelace");
         let key = first.last().unwrap().chain_key();
@@ -294,7 +302,7 @@ mod tests {
     fn byte_budget_evicts_lru_chains_without_touching_forks() {
         let chain_a = frozen_chain(1, "Ada Lovelace");
         let budget = chain_a[0].approx_bytes() + 8; // room for ~one chain
-        let forest = PrefixForest::new(budget);
+        let forest = PrefixForest::new(budget, &Registry::new());
         forest.register(&chain_a);
         let fork = OnTheFlyKb::from_layers(forest.lookup(chain_a[0].chain_key()).unwrap());
         let chain_b = frozen_chain(2, "Grace Hopper with a much longer emerging mention list");
@@ -309,7 +317,7 @@ mod tests {
 
     #[test]
     fn layer_refs_gauge_counts_live_forks_only() {
-        let forest = PrefixForest::new(u64::MAX);
+        let forest = PrefixForest::new(u64::MAX, &Registry::new());
         let chain = frozen_chain(1, "Ada Lovelace");
         let key = chain.last().unwrap().chain_key();
         forest.register(&chain);

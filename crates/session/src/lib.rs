@@ -25,8 +25,12 @@
 //!   later session with the same opening forks from the chain in O(1),
 //!   paying bytes and build time only for its delta;
 //! * [`SessionStats`] — sessions created/live/evicted, extend-vs-cold
-//!   turns, per-document dedup counts, forest fork/freeze/share gauges;
-//!   the serving layer folds the snapshot into its `ServeStats`.
+//!   turns, per-document dedup counts, forest fork/freeze/share gauges.
+//!   The store and the forest keep no counters of their own: they count
+//!   into the `qkb_obs::Registry` they are built with, their occupancy
+//!   is read when a snapshot is taken, and [`SessionStats`] reads that
+//!   snapshot — the serving layer's `ServeStats` and Prometheus text
+//!   come from the same one.
 //!
 //! Everything is `std::sync` (mutex-per-slot plus one short-lived manager
 //! lock); there is no background thread — the TTL sweep runs on access

@@ -2,10 +2,9 @@
 
 use crate::forest::{ForestConfig, PrefixForest};
 use crate::session::{SessionKb, TurnReport};
-use crate::stats::{SessionCounters, SessionStats};
-use qkb_obs::Recorder;
+use crate::stats::SessionStats;
+use qkb_obs::{Counter, Recorder, Registry};
 use qkb_util::FxHashMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -76,21 +75,33 @@ struct Inner {
 /// while a turn is in flight finishes that turn on its private `Arc` and
 /// is then discarded — the next use of the id starts cold, never
 /// resurrecting stale state.
+///
+/// The store's counters are handles into a metrics registry (named
+/// `serve_session_*_total`); its occupancy is read from the live store
+/// when a snapshot is taken ([`SessionManager::gauges`]).
 pub struct SessionManager {
     inner: Mutex<Inner>,
     config: SessionConfig,
-    counters: SessionCounters,
+    metrics: Registry,
+    created: Counter,
+    evicted_ttl: Counter,
+    evicted_pressure: Counter,
+    turns_cold: Counter,
+    turns_extended: Counter,
+    turns_forked: Counter,
+    docs_merged: Counter,
+    docs_deduped: Counter,
     recorder: Recorder,
-    forest: Option<Arc<PrefixForest>>,
+    /// Built (and counting) even when disabled, so the forest's metrics
+    /// are always registered; sessions use it only when enabled.
+    forest: Arc<PrefixForest>,
 }
 
 impl SessionManager {
-    /// An empty store under the given budget/TTL policy.
-    pub fn new(config: SessionConfig) -> Self {
-        let forest = config
-            .forest
-            .enabled
-            .then(|| Arc::new(PrefixForest::new(config.forest.max_bytes)));
+    /// An empty store under the given budget/TTL policy, counting into
+    /// `registry`.
+    pub fn new(config: SessionConfig, registry: &Registry) -> Self {
+        let counter = |what: &str| registry.counter(&format!("serve_session_{what}_total"));
         Self {
             inner: Mutex::new(Inner {
                 sessions: FxHashMap::default(),
@@ -99,15 +110,23 @@ impl SessionManager {
                 next_sweep: Instant::now(),
             }),
             config,
-            counters: SessionCounters::default(),
+            metrics: registry.clone(),
+            created: counter("created"),
+            evicted_ttl: counter("evicted_ttl"),
+            evicted_pressure: counter("evicted_pressure"),
+            turns_cold: counter("turns_cold"),
+            turns_extended: counter("turns_extended"),
+            turns_forked: counter("turns_forked"),
+            docs_merged: counter("docs_merged"),
+            docs_deduped: counter("docs_deduped"),
             recorder: Recorder::disabled(),
-            forest,
+            forest: Arc::new(PrefixForest::new(config.forest.max_bytes, registry)),
         }
     }
 
-    /// The shared prefix-forest registry, when enabled.
+    /// The shared prefix forest, when enabled.
     pub fn forest(&self) -> Option<&Arc<PrefixForest>> {
-        self.forest.as_ref()
+        self.config.forest.enabled.then_some(&self.forest)
     }
 
     /// Builder: emit eviction events into `recorder` (disabled by
@@ -140,7 +159,16 @@ impl SessionManager {
     /// Folds one turn's outcome into the stats counters (the serving
     /// layer calls this right after the extend+answer closure).
     pub fn note_turn(&self, report: &TurnReport) {
-        self.counters.note_turn(report);
+        if report.cold {
+            self.turns_cold.inc();
+        } else {
+            self.turns_extended.inc();
+        }
+        if report.forked {
+            self.turns_forked.inc();
+        }
+        self.docs_merged.add(report.merged as u64);
+        self.docs_deduped.add(report.deduped as u64);
     }
 
     /// Sweeps idle sessions past the TTL (also runs opportunistically,
@@ -184,35 +212,28 @@ impl SessionManager {
             .collect()
     }
 
-    /// Counter snapshot plus current occupancy.
-    pub fn stats(&self) -> SessionStats {
-        let (live, approx_bytes) = {
+    /// Occupancy gauges, read from the store now —
+    /// `serve_session_live`, `serve_session_bytes` and
+    /// `serve_session_capacity_bytes` — followed by the forest's.
+    pub fn gauges(&self) -> Vec<(String, i64)> {
+        let (live, bytes) = {
             let inner = self.inner.lock().expect("session manager");
             (inner.sessions.len(), inner.total_bytes)
         };
-        SessionStats {
-            live,
-            approx_bytes,
-            capacity_bytes: self.config.max_bytes,
-            created: self.counters.created.load(Ordering::Relaxed),
-            evicted_ttl: self.counters.evicted_ttl.load(Ordering::Relaxed),
-            evicted_pressure: self.counters.evicted_pressure.load(Ordering::Relaxed),
-            turns_cold: self.counters.turns_cold.load(Ordering::Relaxed),
-            turns_extended: self.counters.turns_extended.load(Ordering::Relaxed),
-            turns_forked: self.counters.turns_forked.load(Ordering::Relaxed),
-            docs_merged: self.counters.docs_merged.load(Ordering::Relaxed),
-            docs_deduped: self.counters.docs_deduped.load(Ordering::Relaxed),
-            forest: self.forest.as_ref().map(|f| f.stats()).unwrap_or_default(),
-        }
+        let gauge = |what: &str, v: u64| (format!("serve_session_{what}"), v as i64);
+        let mut out = vec![
+            gauge("live", live as u64),
+            gauge("bytes", bytes),
+            gauge("capacity_bytes", self.config.max_bytes),
+        ];
+        out.extend(self.forest.gauges());
+        out
     }
 
-    /// Zeroes the monotonic counters (benchmark phase boundaries);
-    /// resident sessions and their bytes are untouched.
-    pub fn reset_counters(&self) {
-        self.counters.reset();
-        if let Some(forest) = &self.forest {
-            forest.reset_counters();
-        }
+    /// Point-in-time stats: the counters from the metrics registry plus
+    /// the occupancy gauges.
+    pub fn stats(&self) -> SessionStats {
+        SessionStats::from_snapshot(&self.metrics.snapshot().with_gauges(self.gauges()))
     }
 
     /// Fetches (or creates) the session slot, touching its LRU position.
@@ -238,7 +259,7 @@ impl SessionManager {
         if stale {
             let entry = inner.sessions.remove(id).expect("stale resident");
             inner.total_bytes -= entry.bytes;
-            SessionCounters::bump(&self.counters.evicted_ttl, 1);
+            self.evicted_ttl.inc();
             self.recorder.instant("session_evict", |f| {
                 f.push(("reason", "ttl".into()));
                 f.push(("session", id.to_string().into()));
@@ -251,7 +272,7 @@ impl SessionManager {
                 }
             }
         }
-        let session = match &self.forest {
+        let session = match self.forest() {
             Some(forest) => SessionKb::with_forest(forest.clone()),
             None => SessionKb::new(),
         };
@@ -268,7 +289,7 @@ impl SessionManager {
                 seq,
             },
         );
-        SessionCounters::bump(&self.counters.created, 1);
+        self.created.inc();
         slot
     }
 
@@ -313,7 +334,7 @@ impl SessionManager {
             Some(id) => {
                 let entry = inner.sessions.remove(&id).expect("victim resident");
                 inner.total_bytes -= entry.bytes;
-                SessionCounters::bump(&self.counters.evicted_pressure, 1);
+                self.evicted_pressure.inc();
                 self.recorder.instant("session_evict", |f| {
                     f.push(("reason", "pressure".into()));
                     f.push(("session", id.into()));
@@ -334,13 +355,13 @@ impl SessionManager {
             return;
         }
         inner.next_sweep = now + ttl / 4;
-        let (counters, total_bytes) = (&self.counters, &mut inner.total_bytes);
+        let (evicted_ttl, total_bytes) = (&self.evicted_ttl, &mut inner.total_bytes);
         let recorder = &self.recorder;
         inner.sessions.retain(|id, entry| {
             let live = now.duration_since(entry.last_used) <= ttl;
             if !live {
                 *total_bytes -= entry.bytes;
-                SessionCounters::bump(&counters.evicted_ttl, 1);
+                evicted_ttl.inc();
                 recorder.instant("session_evict", |f| {
                     f.push(("reason", "ttl".into()));
                     f.push(("session", id.clone().into()));
@@ -356,7 +377,7 @@ mod tests {
     use super::*;
 
     fn manager(config: SessionConfig) -> SessionManager {
-        SessionManager::new(config)
+        SessionManager::new(config, &Registry::new())
     }
 
     #[test]
@@ -451,7 +472,8 @@ mod tests {
 
     #[test]
     fn stats_note_turn_splits_cold_and_extended() {
-        let m = manager(SessionConfig::default());
+        let registry = Registry::new();
+        let m = SessionManager::new(SessionConfig::default(), &registry);
         m.note_turn(&TurnReport {
             cold: true,
             merged: 3,
@@ -469,7 +491,9 @@ mod tests {
         assert_eq!((stats.docs_merged, stats.docs_deduped), (4, 2));
         assert_eq!(stats.turns(), 2);
         assert!((stats.dedup_rate() - 2.0 / 6.0).abs() < 1e-12);
-        m.reset_counters();
+        // One registry reset zeroes the store's counters; occupancy is
+        // read from the store, so it is untouched.
+        registry.reset();
         assert_eq!(m.stats().turns(), 0);
     }
 }

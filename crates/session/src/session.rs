@@ -129,7 +129,6 @@ impl SessionKb {
                     span.field("layers", layers.len());
                     drop(span);
                     self.kb = OnTheFlyKb::from_layers(layers);
-                    forest.note_fork();
                     forked = true;
                 }
             }
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn opening_turns_fork_the_shared_prefix_and_stay_byte_identical() {
         let qkb = tiny_system();
-        let forest = Arc::new(PrefixForest::new(u64::MAX));
+        let forest = Arc::new(PrefixForest::new(u64::MAX, &qkb_obs::Registry::new()));
         let opening = vec![
             "Ada Lovelace wrote the first program.".to_string(),
             "Alan Turing proposed the imitation game.".to_string(),
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn owned_bytes_charge_the_shared_prefix_once_across_forks() {
         let qkb = tiny_system();
-        let forest = Arc::new(PrefixForest::new(u64::MAX));
+        let forest = Arc::new(PrefixForest::new(u64::MAX, &qkb_obs::Registry::new()));
         let opening =
             vec!["Ada Lovelace wrote the first program about the analytical engine.".to_string()];
         let mut first = SessionKb::with_forest(forest.clone());

@@ -1,60 +1,13 @@
-//! Session-store statistics: lock-free counters while serving, a
-//! [`SessionStats`] snapshot on demand.
+//! Session-store statistics: a [`SessionStats`] view of a metrics
+//! registry snapshot. The counters are handles the
+//! [`crate::SessionManager`] took from the serving tier's registry
+//! (`serve_session_*_total`, plus the forest's `serve_forest_*`); the
+//! occupancy gauges are read from the live store when the snapshot is
+//! taken.
 
-use crate::session::TurnReport;
+use crate::forest::ForestStats;
+use qkb_obs::RegistrySnapshot;
 use qkb_util::json::Value;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared interior-mutable counters the manager and the serving layer
-/// write into.
-#[derive(Debug, Default)]
-pub(crate) struct SessionCounters {
-    pub created: AtomicU64,
-    pub evicted_ttl: AtomicU64,
-    pub evicted_pressure: AtomicU64,
-    pub turns_cold: AtomicU64,
-    pub turns_extended: AtomicU64,
-    pub turns_forked: AtomicU64,
-    pub docs_merged: AtomicU64,
-    pub docs_deduped: AtomicU64,
-}
-
-impl SessionCounters {
-    pub(crate) fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_turn(&self, report: &TurnReport) {
-        if report.cold {
-            Self::bump(&self.turns_cold, 1);
-        } else {
-            Self::bump(&self.turns_extended, 1);
-        }
-        if report.forked {
-            Self::bump(&self.turns_forked, 1);
-        }
-        Self::bump(&self.docs_merged, report.merged as u64);
-        Self::bump(&self.docs_deduped, report.deduped as u64);
-    }
-
-    /// Zeroes the monotonic counters (benchmark phase boundaries);
-    /// occupancy — live sessions, resident bytes — is state, not a
-    /// counter, and is reported from the store itself.
-    pub(crate) fn reset(&self) {
-        for counter in [
-            &self.created,
-            &self.evicted_ttl,
-            &self.evicted_pressure,
-            &self.turns_cold,
-            &self.turns_extended,
-            &self.turns_forked,
-            &self.docs_merged,
-            &self.docs_deduped,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
-}
 
 /// A point-in-time view of the session store.
 #[derive(Clone, Copy, Debug, Default)]
@@ -85,10 +38,30 @@ pub struct SessionStats {
     pub docs_deduped: u64,
     /// Prefix-forest view: forks, freezes, shared bytes, layer refcounts
     /// (all zero when the forest is disabled).
-    pub forest: crate::forest::ForestStats,
+    pub forest: ForestStats,
 }
 
 impl SessionStats {
+    /// The session store's counters and occupancy gauges in `snap`.
+    pub fn from_snapshot(snap: &RegistrySnapshot) -> Self {
+        let count = |what: &str| snap.expect_counter(&format!("serve_session_{what}_total"));
+        let gauge = |what: &str| snap.expect_gauge(&format!("serve_session_{what}")) as u64;
+        SessionStats {
+            live: gauge("live") as usize,
+            approx_bytes: gauge("bytes"),
+            capacity_bytes: gauge("capacity_bytes"),
+            created: count("created"),
+            evicted_ttl: count("evicted_ttl"),
+            evicted_pressure: count("evicted_pressure"),
+            turns_cold: count("turns_cold"),
+            turns_extended: count("turns_extended"),
+            turns_forked: count("turns_forked"),
+            docs_merged: count("docs_merged"),
+            docs_deduped: count("docs_deduped"),
+            forest: ForestStats::from_snapshot(snap),
+        }
+    }
+
     /// Total query turns streamed through sessions.
     pub fn turns(&self) -> u64 {
         self.turns_cold + self.turns_extended

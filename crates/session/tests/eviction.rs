@@ -22,6 +22,11 @@ const OFF: ForestConfig = ForestConfig {
     max_bytes: 0,
 };
 
+/// A session store counting into a registry of its own.
+fn store(config: SessionConfig) -> SessionManager {
+    SessionManager::new(config, &qkb_obs::Registry::new())
+}
+
 fn tiny_system() -> Qkbfly {
     Qkbfly::new(
         qkb_kb::EntityRepository::new(),
@@ -41,7 +46,7 @@ fn doc(i: usize) -> String {
 /// measured through a throwaway unbounded manager so budget tests can be
 /// phrased in "documents", not guessed byte constants.
 fn one_doc_session_bytes(qkb: &Qkbfly) -> u64 {
-    let probe = SessionManager::new(SessionConfig {
+    let probe = store(SessionConfig {
         max_bytes: 0,
         ttl: Duration::ZERO,
         max_sessions: 0,
@@ -56,7 +61,7 @@ fn one_doc_session_bytes(qkb: &Qkbfly) -> u64 {
 #[test]
 fn ttl_expiry_mid_query_discards_in_flight_state() {
     let qkb = tiny_system();
-    let manager = SessionManager::new(SessionConfig {
+    let manager = store(SessionConfig {
         ttl: Duration::from_millis(40),
         max_bytes: 0,
         max_sessions: 0,
@@ -94,7 +99,7 @@ fn byte_pressure_evicts_lru_while_a_turn_is_in_flight() {
     let qkb = tiny_system();
     let w = one_doc_session_bytes(&qkb);
     // Room for about one and a half one-document sessions.
-    let manager = SessionManager::new(SessionConfig {
+    let manager = store(SessionConfig {
         max_bytes: w + w / 2,
         ttl: Duration::ZERO,
         max_sessions: 0,
@@ -138,7 +143,7 @@ fn byte_pressure_evicts_lru_while_a_turn_is_in_flight() {
 #[test]
 fn claim_expires_a_stale_id_even_between_rate_limited_sweeps() {
     let qkb = tiny_system();
-    let manager = SessionManager::new(SessionConfig {
+    let manager = store(SessionConfig {
         ttl: Duration::from_millis(300),
         max_bytes: 0,
         max_sessions: 0,
@@ -170,7 +175,7 @@ fn claim_expires_a_stale_id_even_between_rate_limited_sweeps() {
 #[test]
 fn recreated_id_starts_cold_with_no_phantom_dedup() {
     let qkb = tiny_system();
-    let manager = SessionManager::new(SessionConfig {
+    let manager = store(SessionConfig {
         max_sessions: 1,
         max_bytes: 0,
         ttl: Duration::ZERO,
@@ -198,7 +203,7 @@ fn recreated_id_starts_cold_with_no_phantom_dedup() {
 #[test]
 fn evicting_a_forked_session_leaves_sibling_forks_readable() {
     let qkb = tiny_system();
-    let manager = SessionManager::new(SessionConfig {
+    let manager = store(SessionConfig {
         max_sessions: 2,
         max_bytes: 0,
         ttl: Duration::ZERO,
@@ -235,7 +240,7 @@ fn evicting_a_forked_session_leaves_sibling_forks_readable() {
 #[test]
 fn last_fork_death_reclaims_the_shared_layer() {
     let qkb = tiny_system();
-    let manager = SessionManager::new(SessionConfig {
+    let manager = store(SessionConfig {
         max_sessions: 0,
         max_bytes: 0,
         ttl: Duration::ZERO,
