@@ -247,15 +247,15 @@ fn main() {
     let t0 = Instant::now();
     let recovered = QkbNetServer::start(sys.clone(), net_config()).expect("recover net server");
     let replay_wall = t0.elapsed();
-    let report = recovered.replay_report();
+    let replay = recovered.stats();
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
     let total_turns = (sessions * turns) as u64;
     assert_eq!(
-        report.replayed_turns, total_turns,
+        replay.replayed_turns, total_turns,
         "recovery must replay every committed turn"
     );
-    assert_eq!(report.dropped_records, 0);
+    assert_eq!(replay.replay_dropped_records, 0);
     let replay_speedup = live_wall.as_secs_f64() / replay_wall.as_secs_f64();
     println!(
         "crash recovery: {sessions} sessions x {turns} turns; live run {:.0} ms, \

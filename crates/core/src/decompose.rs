@@ -426,7 +426,6 @@ mod tests {
         let opts = IlpSolveOptions {
             prune: true,
             warm_start: true,
-            node_limit: 0,
         };
         let cache = MemoryResolveCache::new();
         let (base, n, tally) = resolve_ilp_decomposed(
@@ -478,7 +477,6 @@ mod tests {
             let opts = IlpSolveOptions {
                 prune: true,
                 warm_start: true,
-                node_limit: 0,
             };
             let (out, n, _) = resolve_ilp_decomposed(
                 &mono.graph,
@@ -527,7 +525,6 @@ mod tests {
                 IlpSolveOptions {
                     prune: true,
                     warm_start: false,
-                    node_limit: 0,
                 },
             );
             // Identical supports (and confidences) with and without

@@ -39,18 +39,15 @@ pub struct IlpOutcome {
 }
 
 /// Knobs of [`resolve_ilp_subset`]: the cold baseline uses
-/// `IlpSolveOptions::default()` (no pruning, no warm start, default node
-/// budget); the decomposed fast path enables all three.
+/// `IlpSolveOptions::default()` (no pruning, no warm start); the
+/// decomposed fast path enables both. The solver always runs with its
+/// default node budget.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct IlpSolveOptions {
     /// Eliminate dominated candidates before building the program.
     pub prune: bool,
     /// Seed the solver with the independent-greedy incumbent.
     pub warm_start: bool,
-    /// Branch-and-bound node budget (`0` = solver default). On
-    /// exhaustion with a warm start installed, the solver returns the
-    /// incumbent — never worse than the greedy seed.
-    pub node_limit: u64,
 }
 
 /// Strictness margin of the candidate-domination prune. It must clear
@@ -215,11 +212,7 @@ pub(crate) fn resolve_ilp_subset(
     }
 
     let n_variables = ilp.n_vars();
-    let mut solver = if opts.node_limit > 0 {
-        Solver::with_node_limit(opts.node_limit)
-    } else {
-        Solver::new()
-    };
+    let mut solver = Solver::new();
     if opts.warm_start {
         solver = solver.with_incumbent(greedy_incumbent(&ilp, mentions, &cand_vars, &joint));
     }

@@ -88,11 +88,6 @@ pub struct QkbflyConfig {
     /// `bench_resolve` — and disables candidate pruning and the greedy
     /// warm start along with it.
     pub resolve_decomposition: bool,
-    /// Branch-and-bound node budget per ILP component solve (`0` = the
-    /// solver's generous default). On exhaustion the solver falls back
-    /// to the greedy warm-start incumbent, so a tight budget degrades
-    /// toward `resolve_independent`, never below it.
-    pub ilp_node_budget: u64,
 }
 
 impl Default for QkbflyConfig {
@@ -108,7 +103,6 @@ impl Default for QkbflyConfig {
             parallelism: 0,
             resolve_parallelism: 1,
             resolve_decomposition: true,
-            ilp_node_budget: 0,
         }
     }
 }
@@ -881,7 +875,6 @@ impl Qkbfly {
                         IlpSolveOptions {
                             prune: true,
                             warm_start: true,
-                            node_limit: self.config.ilp_node_budget,
                         },
                         self.resolve_cache.as_deref(),
                         &self.recorder,

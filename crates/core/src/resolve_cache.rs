@@ -331,7 +331,6 @@ pub(crate) fn fingerprint_component(
             enc.push(1u8);
             enc.push(opts.prune as u8);
             enc.push(opts.warm_start as u8);
-            push_u64(&mut enc, opts.node_limit);
         }
     }
     for a in model.alphas {

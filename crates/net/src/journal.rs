@@ -28,8 +28,9 @@
 //! ## Segments, snapshots and truncation
 //!
 //! Appends go to `seg-N.qkj` files, rotated at a size threshold. A
-//! *snapshot* (`snap-N.qkj`) rewrites the compacted live history — for
-//! each session, only the records since its last cold turn — via
+//! *snapshot* (`snap-N.qkj`) rewrites the compacted history — for every
+//! session journaled so far, evicted ones included (the journal is not
+//! told of evictions), only the records since its last cold turn — via
 //! tmp-file + rename, after which all older segments and snapshots are
 //! deleted. Recovery reads the newest intact snapshot plus every segment
 //! numbered above it; a torn tail (truncated or checksum-failing record)
@@ -41,7 +42,7 @@
 //! replayed, which is exactly the content of the live session.
 
 use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_BYTES};
-use qkb_obs::{Counter, Registry};
+use qkb_obs::{Counter, Registry, RegistrySnapshot};
 use qkb_serve::{LoggedTurn, TurnLog};
 use qkb_util::bytes::{self, Cursor};
 use qkb_util::json::Value;
@@ -155,11 +156,6 @@ pub struct Recovery {
     /// Compacted replayable turns in original append order (per session:
     /// the suffix from its last cold turn).
     pub turns: Vec<TurnRecord>,
-    /// Records dropped because the file tail was torn (truncated write
-    /// or checksum mismatch) — at most one per file, always the last.
-    pub torn_tails: u64,
-    /// Total intact records read (before compaction).
-    pub records_read: u64,
     /// True when a snapshot file seeded the history.
     pub from_snapshot: bool,
 }
@@ -183,18 +179,19 @@ struct Inner {
 pub struct SessionJournal {
     config: JournalConfig,
     inner: Mutex<Inner>,
+    /// Where the counters below live; [`SessionJournal::stats`] reads it.
+    registry: Registry,
     appends: Counter,
     appended_bytes: Counter,
     fsyncs: Counter,
     rotations: Counter,
     snapshots: Counter,
-    torn_tails: Counter,
-    recovered_records: Counter,
     io_errors: Counter,
     last_error: Mutex<Option<String>>,
 }
 
-/// Point-in-time journal counters (all monotonic since open).
+/// Point-in-time journal counters, read by name from a registry
+/// snapshot: counts since open or since that registry's last reset.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Records appended.
@@ -207,9 +204,9 @@ pub struct JournalStats {
     pub rotations: u64,
     /// Snapshots written (each truncates older files).
     pub snapshots: u64,
-    /// Torn tails dropped during recovery.
+    /// Torn tails dropped during recovery (counted at open).
     pub torn_tails: u64,
-    /// Intact records read during recovery.
+    /// Intact records read during recovery (counted at open).
     pub recovered_records: u64,
     /// Append-path I/O errors (the journal keeps trying; see
     /// [`SessionJournal::last_error`]).
@@ -217,6 +214,22 @@ pub struct JournalStats {
 }
 
 impl JournalStats {
+    /// The journal's eight counters out of `snap`; panics if the journal
+    /// never registered them there.
+    pub(crate) fn from_snapshot(snap: &RegistrySnapshot) -> Self {
+        let c = |name: &str| snap.expect_counter(name);
+        Self {
+            appends: c("journal_appends_total"),
+            appended_bytes: c("journal_appended_bytes_total"),
+            fsyncs: c("journal_fsyncs_total"),
+            rotations: c("journal_rotations_total"),
+            snapshots: c("journal_snapshots_total"),
+            torn_tails: c("journal_torn_tails_total"),
+            recovered_records: c("journal_recovered_records_total"),
+            io_errors: c("journal_io_errors_total"),
+        }
+    }
+
     /// JSON rendering for stats endpoints and benchmark reports.
     pub fn to_json(&self) -> Value {
         Value::object()
@@ -288,10 +301,13 @@ fn apply(history: &mut Vec<TurnRecord>, rec: TurnRecord) {
 impl SessionJournal {
     /// Opens (or creates) the journal at `config.dir`, recovering the
     /// replayable history from disk. Registers its counters under
-    /// `journal_*` names in `registry`. Appends always go to a fresh
-    /// segment numbered above everything recovered — existing files are
-    /// never appended to, so a torn tail can only be the crash site.
+    /// `journal_*` names in `registry`, and counts recovery's torn tails
+    /// and intact records there. Appends always go to a fresh segment
+    /// numbered above everything recovered — existing files are never
+    /// appended to, so a torn tail can only be the crash site.
     pub fn open(config: JournalConfig, registry: &Registry) -> io::Result<(Self, Recovery)> {
+        let torn_tails = registry.counter("journal_torn_tails_total");
+        let records_read = registry.counter("journal_recovered_records_total");
         fs::create_dir_all(&config.dir)?;
         let mut segs = Vec::new();
         let mut snaps = Vec::new();
@@ -308,7 +324,6 @@ impl SessionJournal {
         segs.sort_unstable();
         snaps.sort_unstable();
 
-        let mut recovery = Recovery::default();
         let mut history: Vec<TurnRecord> = Vec::new();
         // Newest intact snapshot seeds the history; a torn snapshot is
         // ignored entirely (the segments it would have replaced are only
@@ -319,28 +334,30 @@ impl SessionJournal {
             let (records, torn) =
                 read_records(&snap_path(&config.dir, n), config.max_record_bytes)?;
             if !torn {
-                recovery.records_read += records.len() as u64;
+                records_read.add(records.len() as u64);
                 for rec in records {
                     apply(&mut history, rec);
                 }
-                recovery.from_snapshot = true;
                 base = Some(n);
                 break;
             }
-            recovery.torn_tails += 1;
+            torn_tails.inc();
         }
         for &n in &segs {
             if Some(n) <= base {
                 continue;
             }
             let (records, torn) = read_records(&seg_path(&config.dir, n), config.max_record_bytes)?;
-            recovery.records_read += records.len() as u64;
-            recovery.torn_tails += torn as u64;
+            records_read.add(records.len() as u64);
+            torn_tails.add(torn as u64);
             for rec in records {
                 apply(&mut history, rec);
             }
         }
-        recovery.turns = history.clone();
+        let recovery = Recovery {
+            turns: history.clone(),
+            from_snapshot: base.is_some(),
+        };
 
         let next = segs
             .last()
@@ -367,14 +384,11 @@ impl SessionJournal {
             fsyncs: registry.counter("journal_fsyncs_total"),
             rotations: registry.counter("journal_rotations_total"),
             snapshots: registry.counter("journal_snapshots_total"),
-            torn_tails: registry.counter("journal_torn_tails_total"),
-            recovered_records: registry.counter("journal_recovered_records_total"),
             io_errors: registry.counter("journal_io_errors_total"),
+            registry: registry.clone(),
             config,
             last_error: Mutex::new(None),
         };
-        journal.torn_tails.add(recovery.torn_tails);
-        journal.recovered_records.add(recovery.records_read);
         Ok((journal, recovery))
     }
 
@@ -506,18 +520,9 @@ impl SessionJournal {
         self.fsync(inner.writer.get_ref())
     }
 
-    /// Current counters.
+    /// Current counters, read from the registry the journal counts in.
     pub fn stats(&self) -> JournalStats {
-        JournalStats {
-            appends: self.appends.get(),
-            appended_bytes: self.appended_bytes.get(),
-            fsyncs: self.fsyncs.get(),
-            rotations: self.rotations.get(),
-            snapshots: self.snapshots.get(),
-            torn_tails: self.torn_tails.get(),
-            recovered_records: self.recovered_records.get(),
-            io_errors: self.io_errors.get(),
-        }
+        JournalStats::from_snapshot(&self.registry.snapshot())
     }
 
     /// The most recent append-path error, if any.
@@ -581,14 +586,14 @@ mod tests {
             j.append(rec("b", 1, true, &[1, 2]));
             j.append(rec("a", 2, false, &[3]));
         }
-        let (_, rev) = open(&dir, |_| {});
+        let (j, rev) = open(&dir, |_| {});
         let ids: Vec<_> = rev
             .turns
             .iter()
             .map(|r| (r.session_id.as_str(), r.turn))
             .collect();
         assert_eq!(ids, vec![("a", 1), ("b", 1), ("a", 2)]);
-        assert_eq!(rev.torn_tails, 0);
+        assert_eq!(j.stats().torn_tails, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -636,7 +641,6 @@ mod tests {
         let (j, rev) = open(&dir, |_| {});
         assert_eq!(rev.turns.len(), 1);
         assert_eq!(rev.turns[0].turn, 1);
-        assert_eq!(rev.torn_tails, 1);
         assert_eq!(j.stats().torn_tails, 1);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -29,6 +29,9 @@
 //!   (`tests/journal_replay.rs` proves this under arbitrary
 //!   crash-point truncation).
 //!
+//! Both layers count into the serve tier's one metrics registry
+//! ([`qkb_serve::ServeConfig::registry`]): one snapshot, one reset.
+//!
 //! Everything is `std::net` + threads — the offline vendor tree has no
 //! async runtime — in the same style as the rest of the workspace.
 
@@ -42,4 +45,4 @@ pub use client::{NetAnswer, NetClient, NetError};
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES};
 pub use journal::{JournalConfig, JournalStats, Recovery, SessionJournal, TurnRecord};
 pub use proto::{BusyScope, NetRequest, NetResponse, ProtoError};
-pub use server::{NetConfig, NetStats, QkbNetServer, ReplayReport};
+pub use server::{NetConfig, NetStats, QkbNetServer};

@@ -38,7 +38,15 @@
 //! path live turns take — so sessions resume byte-identical to an
 //! uninterrupted run. Records whose document texts no longer match the
 //! journaled fingerprint (the corpus changed under the journal) are
-//! dropped, along with the rest of that session's records.
+//! dropped, along with the rest of that session's records. Both outcomes
+//! are counted at start (`net_replayed_turns_total`,
+//! `net_replay_dropped_records_total`).
+//!
+//! ## Metrics
+//!
+//! The `net_*` and `journal_*` counters live in [`ServeConfig::registry`],
+//! the serve tier's one registry; queue depth is read when a snapshot is
+//! taken. `stats`, `metrics_text` and `reset_stats` use that registry.
 //!
 //! ## Shutdown ordering
 //!
@@ -52,7 +60,7 @@
 use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_BYTES};
 use crate::journal::{JournalConfig, JournalStats, SessionJournal};
 use crate::proto::{BusyScope, NetRequest, NetResponse};
-use qkb_obs::{Counter, Gauge, Recorder, Registry};
+use qkb_obs::{Counter, Gauge, Recorder, Registry, RegistrySnapshot};
 use qkb_serve::{QkbServer, QueryEngine, ServeClient, ServeConfig, ServeStats, TurnLog};
 use qkb_util::json::Value;
 use std::collections::HashMap;
@@ -102,20 +110,9 @@ impl Default for NetConfig {
     }
 }
 
-/// What startup replay reconstructed from the journal.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplayReport {
-    /// Session turns re-streamed into session KBs.
-    pub replayed_turns: u64,
-    /// Records dropped because their documents' texts no longer match
-    /// the journaled fingerprint (stale corpus), plus the rest of those
-    /// sessions' records.
-    pub dropped_records: u64,
-    /// Torn tails the journal recovery detected and discarded.
-    pub torn_tails: u64,
-}
-
-/// Counters of the network tier (all in the net registry, `net_*`).
+/// Handles of the network tier's cells (`net_*`) in the serve tier's
+/// registry. Queue depth has no cell: snapshots read it from
+/// [`NetShared::depth`].
 struct NetCounters {
     connections_accepted: Counter,
     connections_rejected: Counter,
@@ -125,7 +122,6 @@ struct NetCounters {
     requests: Counter,
     shed_connection: Counter,
     shed_global: Counter,
-    queue_depth: Gauge,
     queue_depth_peak: Gauge,
     replayed_turns: Counter,
     replay_dropped: Counter,
@@ -142,7 +138,6 @@ impl NetCounters {
             requests: registry.counter("net_requests_total"),
             shed_connection: registry.counter("net_shed_connection_total"),
             shed_global: registry.counter("net_shed_global_total"),
-            queue_depth: registry.gauge("net_queue_depth"),
             queue_depth_peak: registry.gauge("net_queue_depth_peak"),
             replayed_turns: registry.counter("net_replayed_turns_total"),
             replay_dropped: registry.counter("net_replay_dropped_records_total"),
@@ -157,11 +152,10 @@ struct NetShared<E: QueryEngine> {
     server: Mutex<Option<QkbServer<E>>>,
     client: ServeClient<E>,
     journal: Option<Arc<SessionJournal>>,
-    registry: Registry,
     counters: NetCounters,
-    /// Authoritative admitted-request depth (the gauge mirrors it; the
-    /// CAS loop in [`NetShared::try_admit_global`] is what actually
-    /// enforces the watermark).
+    /// Admitted-but-unanswered requests. The CAS loop in
+    /// [`NetShared::try_admit_global`] enforces the watermark on it, and
+    /// snapshots read it as `net_queue_depth`.
     depth: AtomicI64,
     recorder: Recorder,
     inflight_budget: u64,
@@ -171,7 +165,6 @@ struct NetShared<E: QueryEngine> {
     /// Read-half clones of live connections, for unblocking their
     /// readers at shutdown.
     conns: Mutex<HashMap<u64, TcpStream>>,
-    replay: ReplayReport,
 }
 
 impl<E: QueryEngine> NetShared<E> {
@@ -191,7 +184,6 @@ impl<E: QueryEngine> NetShared<E> {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.counters.queue_depth.set(cur + 1);
                     self.counters.queue_depth_peak.fetch_max(cur + 1);
                     return true;
                 }
@@ -200,46 +192,38 @@ impl<E: QueryEngine> NetShared<E> {
         }
     }
 
-    fn release_global(&self) {
-        let now = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.counters.queue_depth.set(now);
+    /// The one snapshot both renderings read: the inner tier's (which
+    /// holds the `net_*` and `journal_*` cells too) plus the queue depth,
+    /// read now.
+    fn snapshot(&self, server: &QkbServer<E>) -> RegistrySnapshot {
+        let depth = self.depth.load(Ordering::Relaxed);
+        server
+            .registry_snapshot()
+            .with_gauges([("net_queue_depth".to_string(), depth)])
     }
 
-    /// Current stats: the inner tier's snapshot plus net and journal
-    /// counters. `None` only after shutdown.
+    /// Current stats across all tiers. `None` only after shutdown.
     fn stats(&self) -> Option<NetStats> {
         let guard = self.server.lock().expect("inner server slot");
-        let serve = guard.as_ref()?.stats();
-        let c = &self.counters;
-        Some(NetStats {
-            serve,
-            journal: self.journal.as_ref().map(|j| j.stats()),
-            connections_accepted: c.connections_accepted.get(),
-            connections_rejected: c.connections_rejected.get(),
-            frames_read: c.frames_read.get(),
-            frames_written: c.frames_written.get(),
-            frame_errors: c.frame_errors.get(),
-            requests: c.requests.get(),
-            shed_connection: c.shed_connection.get(),
-            shed_global: c.shed_global.get(),
-            queue_depth: c.queue_depth.get(),
-            queue_depth_peak: c.queue_depth_peak.get(),
-            replayed_turns: c.replayed_turns.get(),
-            replay_dropped_records: c.replay_dropped.get(),
-        })
+        let server = guard.as_ref()?;
+        let snap = self.snapshot(server);
+        Some(NetStats::from_snapshot(
+            server.stats_of(&snap),
+            self.journal.is_some(),
+            &snap,
+        ))
     }
 
-    /// Benchmark phase boundary: zero the inner tier and the net
-    /// registry. The depth gauge is re-seeded from the authoritative
-    /// atomic so in-flight requests stay accounted.
+    /// Benchmark phase boundary: the serve tier's one registry reset,
+    /// which zeroes every tier's counters. The peak is re-seeded from the
+    /// live depth so in-flight requests stay accounted.
     fn reset_stats(&self) {
         if let Some(server) = self.server.lock().expect("inner server slot").as_ref() {
             server.reset_stats();
         }
-        self.registry.reset();
-        let depth = self.depth.load(Ordering::Relaxed);
-        self.counters.queue_depth.set(depth);
-        self.counters.queue_depth_peak.fetch_max(depth);
+        self.counters
+            .queue_depth_peak
+            .fetch_max(self.depth.load(Ordering::Relaxed));
     }
 }
 
@@ -270,8 +254,8 @@ pub struct NetStats {
     pub shed_global: u64,
     /// Admitted-but-unanswered requests right now.
     pub queue_depth: i64,
-    /// The highest depth ever observed — bounded by the watermark by
-    /// construction.
+    /// The highest depth observed since start or the last reset —
+    /// bounded by the watermark by construction.
     pub queue_depth_peak: i64,
     /// Session turns replayed from the journal at startup.
     pub replayed_turns: u64,
@@ -280,6 +264,29 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// Reads the network tier's values (and the journal's, when one is
+    /// attached) out of `snap` by name; `serve` is the serve tier's view
+    /// of the same snapshot.
+    fn from_snapshot(serve: ServeStats, journal: bool, snap: &RegistrySnapshot) -> Self {
+        let c = |name: &str| snap.expect_counter(name);
+        Self {
+            serve,
+            journal: journal.then(|| JournalStats::from_snapshot(snap)),
+            connections_accepted: c("net_connections_accepted_total"),
+            connections_rejected: c("net_connections_rejected_total"),
+            frames_read: c("net_frames_read_total"),
+            frames_written: c("net_frames_written_total"),
+            frame_errors: c("net_frame_errors_total"),
+            requests: c("net_requests_total"),
+            shed_connection: c("net_shed_connection_total"),
+            shed_global: c("net_shed_global_total"),
+            queue_depth: snap.expect_gauge("net_queue_depth"),
+            queue_depth_peak: snap.expect_gauge("net_queue_depth_peak"),
+            replayed_turns: c("net_replayed_turns_total"),
+            replay_dropped_records: c("net_replay_dropped_records_total"),
+        }
+    }
+
     /// JSON rendering (the `stats` wire request returns exactly this).
     pub fn to_json(&self) -> Value {
         let mut v = Value::object()
@@ -316,14 +323,14 @@ pub struct QkbNetServer<E: QueryEngine> {
 impl<E: QueryEngine> QkbNetServer<E> {
     /// Opens the journal (recovering and replaying any existing one),
     /// starts the inner [`QkbServer`] and the acceptor, and binds
-    /// `config.addr`.
+    /// `config.addr`. Every tier counts into `config.serve.registry`.
     pub fn start(engine: E, config: NetConfig) -> io::Result<Self> {
-        let registry = Registry::new();
-        let counters = NetCounters::new(&registry);
+        let registry = &config.serve.registry;
+        let counters = NetCounters::new(registry);
 
         let (journal, recovered) = match &config.journal {
             Some(jc) => {
-                let (j, recovery) = SessionJournal::open(jc.clone(), &registry)?;
+                let (j, recovery) = SessionJournal::open(jc.clone(), registry)?;
                 (Some(Arc::new(j)), recovery)
             }
             None => (None, Default::default()),
@@ -340,14 +347,10 @@ impl<E: QueryEngine> QkbNetServer<E> {
         // production extend path, in journal (= original merge) order.
         // `replay_session_turn` does not re-notify the turn log, so the
         // journal is not re-appended for replayed state.
-        let mut replay = ReplayReport {
-            torn_tails: recovered.torn_tails,
-            ..Default::default()
-        };
         let mut stale: std::collections::HashSet<String> = Default::default();
         for rec in &recovered.turns {
             if stale.contains(&rec.session_id) {
-                replay.dropped_records += 1;
+                counters.replay_dropped.inc();
                 continue;
             }
             let ids: Vec<usize> = rec.doc_ids.iter().map(|&i| i as usize).collect();
@@ -360,16 +363,14 @@ impl<E: QueryEngine> QkbNetServer<E> {
             match fresh {
                 Some(texts) => {
                     server.replay_session_turn(&rec.session_id, &texts);
-                    replay.replayed_turns += 1;
+                    counters.replayed_turns.inc();
                 }
                 None => {
                     stale.insert(rec.session_id.clone());
-                    replay.dropped_records += 1;
+                    counters.replay_dropped.inc();
                 }
             }
         }
-        counters.replayed_turns.add(replay.replayed_turns);
-        counters.replay_dropped.add(replay.dropped_records);
 
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -378,7 +379,6 @@ impl<E: QueryEngine> QkbNetServer<E> {
             client: server.client(),
             server: Mutex::new(Some(server)),
             journal,
-            registry,
             counters,
             depth: AtomicI64::new(0),
             recorder,
@@ -387,7 +387,6 @@ impl<E: QueryEngine> QkbNetServer<E> {
             max_frame: config.max_frame_bytes,
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
-            replay,
         });
 
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
@@ -412,33 +411,28 @@ impl<E: QueryEngine> QkbNetServer<E> {
         self.local_addr
     }
 
-    /// What startup replay reconstructed.
-    pub fn replay_report(&self) -> ReplayReport {
-        self.shared.replay
-    }
-
-    /// A stats snapshot across all tiers.
+    /// A stats snapshot across all tiers. Startup replay's outcome is
+    /// in it too: `replayed_turns`, `replay_dropped_records` and the
+    /// journal's `torn_tails`, counted before any reset.
     pub fn stats(&self) -> NetStats {
         self.shared.stats().expect("stats after shutdown")
     }
 
-    /// Zeroes every monotonic counter in both tiers (the benchmark
-    /// phase boundary).
+    /// Zeroes every counter of every tier — one reset of the serve
+    /// tier's registry (the benchmark phase boundary).
     pub fn reset_stats(&self) {
         self.shared.reset_stats();
     }
 
-    /// Prometheus-style text: the inner tier's exposition followed by
-    /// the net/journal registry.
+    /// Prometheus-style text of the same snapshot [`QkbNetServer::stats`]
+    /// reads: every serve, net and journal series under its `# TYPE`
+    /// line. Empty after shutdown.
     pub fn metrics_text(&self) -> String {
-        let serve = {
-            let guard = self.shared.server.lock().expect("inner server slot");
-            guard.as_ref().map(|s| s.metrics_text()).unwrap_or_default()
-        };
-        format!(
-            "{serve}{}",
-            self.shared.registry.snapshot().to_prometheus_text()
-        )
+        let guard = self.shared.server.lock().expect("inner server slot");
+        guard
+            .as_ref()
+            .map(|server| self.shared.snapshot(server).to_prometheus_text())
+            .unwrap_or_default()
     }
 
     /// Ids of the sessions resident right now.
@@ -662,7 +656,7 @@ fn handle_connection<E: QueryEngine>(shared: &Arc<NetShared<E>>, stream: TcpStre
             let resp = serve_request(&shared2, req);
             send_response(&shared2, &writer2, &resp);
             inflight2.fetch_sub(1, Ordering::Relaxed);
-            shared2.release_global();
+            shared2.depth.fetch_sub(1, Ordering::Relaxed);
         }));
     }
 

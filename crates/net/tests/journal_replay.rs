@@ -171,8 +171,9 @@ proptest! {
         // Life 2: recover from the truncated journal.
         let recovered =
             QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
-        prop_assert_eq!(recovered.replay_report().replayed_turns, cut_k as u64);
-        prop_assert_eq!(recovered.replay_report().dropped_records, 0);
+        let replay = recovered.stats();
+        prop_assert_eq!(replay.replayed_turns, cut_k as u64);
+        prop_assert_eq!(replay.replay_dropped_records, 0);
 
         // Reference: an uninterrupted server that ran only the prefix.
         let reference = QkbNetServer::start(sys.clone(), config_with_journal(None)).unwrap();
@@ -227,8 +228,9 @@ proptest! {
         // re-forks the shared opening instead of rebuilding it.
         let recovered =
             QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
-        prop_assert_eq!(recovered.replay_report().replayed_turns, cut_k as u64);
-        let forest = recovered.stats().serve.sessions.forest;
+        let replay = recovered.stats();
+        prop_assert_eq!(replay.replayed_turns, cut_k as u64);
+        let forest = replay.serve.sessions.forest;
         if cut_k >= 2 {
             prop_assert_eq!(
                 forest.forks,
@@ -265,9 +267,13 @@ fn mid_record_truncation_is_detected_and_dropped() {
     truncate(&seg, boundaries[3] - 5);
 
     let recovered = QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
-    let report = recovered.replay_report();
-    assert_eq!(report.replayed_turns, 2, "committed prefix only");
-    assert_eq!(report.torn_tails, 1, "the torn record is counted");
+    let replay = recovered.stats();
+    assert_eq!(replay.replayed_turns, 2, "committed prefix only");
+    assert_eq!(
+        replay.journal.expect("journal attached").torn_tails,
+        1,
+        "the torn record is counted"
+    );
 
     let reference = QkbNetServer::start(sys.clone(), config_with_journal(None)).unwrap();
     drive(&reference, &turns[..2], &pool);
@@ -293,7 +299,7 @@ fn recovered_sessions_continue_byte_identically() {
     // Life 2: recover, then take a third turn — it must extend the
     // replayed KB incrementally, not start cold.
     let recovered = QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
-    assert_eq!(recovered.replay_report().replayed_turns, 2);
+    assert_eq!(recovered.stats().replayed_turns, 2);
     let mut client = NetClient::connect(recovered.local_addr()).unwrap();
     let answer = client
         .query_in_session("s0", QueryRequest::question(&pool[2]))
@@ -317,7 +323,7 @@ fn recovered_sessions_continue_byte_identically() {
     drop(client);
     drop(recovered);
     let third = QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
-    assert_eq!(third.replay_report().replayed_turns, 3);
+    assert_eq!(third.stats().replayed_turns, 3);
     assert_eq!(third.session_kb_json("s0"), reference.session_kb_json("s0"));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -119,7 +119,7 @@ fn loopback_answers_match_the_offline_path() {
     // The reset itself and this stats call are the only requests since.
     assert!(v.get("requests").and_then(|x| x.as_f64()).unwrap() <= 1.0);
 
-    // Prometheus text spans both registries.
+    // Prometheus text of the one registry covers both tiers.
     let text = server.metrics_text();
     assert!(text.contains("serve_requests_total"));
     assert!(text.contains("net_requests_total"));

@@ -39,8 +39,9 @@
 //!   all shards;
 //! * **one metrics registry** — every serving counter (requests, build
 //!   rounds, all three cache tiers, the session store, the prefix
-//!   forest) lives once, in the server's `qkb_obs` registry; occupancy
-//!   is read from the live stores when a snapshot is taken. One
+//!   forest) lives once, in [`ServeConfig::registry`], which the network
+//!   tier and its journal count into too; occupancy is read from the
+//!   live stores when a snapshot is taken. One
 //!   snapshot ([`QkbServer::registry_snapshot`]) is rendered both as
 //!   [`ServeStats`] (p50/p95 latency from the sample ring, throughput,
 //!   hit rates, per-stage build time, session-store view) and as

@@ -44,7 +44,7 @@ use crate::request::{QueryRequest, QueryResponse, Served};
 use crate::stage1_cache::Stage1Cache;
 use crate::stats::{ServeMetrics, ServeStats};
 use qkb_kb::OnTheFlyKb;
-use qkb_obs::{OpenSpan, Recorder, RegistrySnapshot, SpanCtx};
+use qkb_obs::{OpenSpan, Recorder, Registry, RegistrySnapshot, SpanCtx};
 use qkb_session::{SessionConfig, SessionManager};
 use qkb_util::FxHashMap;
 use qkbfly::{Qkbfly, ResolveCounters, StageTimings};
@@ -93,6 +93,10 @@ pub trait TurnLog: Send + Sync + 'static {
 /// Lock shards inside each cache tier.
 const LOCK_SHARDS: usize = 8;
 
+/// Capacity (approximate bytes) of the component resolve cache, which
+/// every shard and every session shares.
+const COMPONENT_CACHE_BYTES: u64 = 32 << 20;
+
 /// `QkbflyConfig::parallelism` of each shard's builds: shards already
 /// run in parallel, so one worker per build avoids oversubscribing cores.
 const BUILD_PARALLELISM: usize = 1;
@@ -109,12 +113,6 @@ pub struct ServeConfig {
     /// disables tier one (every fragment miss becomes a fully cold
     /// build — the PR 2 behavior).
     pub stage1_cache_bytes: u64,
-    /// Component resolve-cache capacity in approximate bytes; `0`
-    /// disables the tier (every coupling component re-enters the
-    /// solver — the PR 6 behavior). The cache is process-wide: all
-    /// shards and all sessions share it, so a component solved for any
-    /// request is free for every later request that contains it.
-    pub component_cache_bytes: u64,
     /// Maximum queued requests a worker takes as one admission batch;
     /// `1` turns batching off.
     pub batch_max: usize,
@@ -134,6 +132,11 @@ pub struct ServeConfig {
     /// configured one) to capture span trees for
     /// [`qkb_obs::chrome_trace`] export.
     pub recorder: Recorder,
+    /// The one metrics registry every tier counts into (the network tier
+    /// and its journal too). `Default` makes a fresh one; clones of a
+    /// config share it, so two servers started from clones of one config
+    /// count into the same cells.
+    pub registry: Registry,
     /// Committed-session-turn observer (`None` = no durability). The
     /// network tier attaches its write-ahead journal here; see
     /// [`TurnLog`] for the ordering contract.
@@ -146,11 +149,11 @@ impl std::fmt::Debug for ServeConfig {
             .field("shards", &self.shards)
             .field("cache_capacity", &self.cache_capacity)
             .field("stage1_cache_bytes", &self.stage1_cache_bytes)
-            .field("component_cache_bytes", &self.component_cache_bytes)
             .field("batch_max", &self.batch_max)
             .field("coalesce", &self.coalesce)
             .field("session", &self.session)
             .field("recorder", &self.recorder)
+            .field("registry", &self.registry)
             .field("turn_log", &self.turn_log.as_ref().map(|_| "Some(..)"))
             .finish()
     }
@@ -162,11 +165,11 @@ impl Default for ServeConfig {
             shards: 0,
             cache_capacity: 128,
             stage1_cache_bytes: 64 << 20,
-            component_cache_bytes: 32 << 20,
             batch_max: 8,
             coalesce: true,
             session: SessionConfig::default(),
             recorder: Recorder::disabled(),
+            registry: Registry::new(),
             turn_log: None,
         }
     }
@@ -374,17 +377,13 @@ struct Shared<E> {
 impl<E: QueryEngine> Shared<E> {
     /// A build handle configured like a worker shard's: private
     /// parallelism knob, the server's recorder, and the process-wide
-    /// component resolve cache attached when enabled.
+    /// component resolve cache.
     fn build_handle(&self) -> Qkbfly {
-        let mut qkb = self
-            .engine
+        self.engine
             .qkbfly()
             .with_parallelism(BUILD_PARALLELISM)
-            .with_recorder(self.config.recorder.clone());
-        if self.component.is_enabled() {
-            qkb = qkb.with_resolve_cache(self.component.clone());
-        }
-        qkb
+            .with_recorder(self.config.recorder.clone())
+            .with_resolve_cache(self.component.clone())
     }
 
     /// The one snapshot both [`QkbServer::stats`] and
@@ -487,14 +486,13 @@ impl<E: QueryEngine> QkbServer<E> {
     /// Starts the worker shards and returns the running server.
     pub fn start(engine: E, config: ServeConfig) -> Self {
         let shards = config.resolved_shards();
-        // Every tier counts into the one registry the metrics own.
-        let metrics = ServeMetrics::new();
-        let registry = metrics.registry();
+        // Every tier counts into the config's one registry.
+        let registry = &config.registry;
         let shared = Arc::new(Shared {
             cache: FragmentCache::new(config.cache_capacity, LOCK_SHARDS, registry),
             stage1: Stage1Cache::new(config.stage1_cache_bytes, LOCK_SHARDS, registry),
             component: Arc::new(ComponentCache::new(
-                config.component_cache_bytes,
+                COMPONENT_CACHE_BYTES,
                 LOCK_SHARDS,
                 registry,
             )),
@@ -503,7 +501,7 @@ impl<E: QueryEngine> QkbServer<E> {
             engine: Arc::new(engine),
             queue: AdmissionQueue::new(),
             inflight: InFlightTable::new(),
-            metrics,
+            metrics: ServeMetrics::new(registry),
             config,
         });
         let workers = (0..shards)
@@ -542,15 +540,21 @@ impl<E: QueryEngine> QkbServer<E> {
     /// cache tiers' counters, session-store counters): the typed view of
     /// [`QkbServer::registry_snapshot`].
     pub fn stats(&self) -> ServeStats {
-        self.shared.metrics.stats(&self.shared.snapshot())
+        self.stats_of(&self.shared.snapshot())
     }
 
-    /// Zeroes every serving counter — one `Registry::reset`, since every
-    /// tier counts into that registry — and restarts the throughput
-    /// clock and the latency ring. Benchmarks call this at phase
-    /// boundaries so a phase's stats are read directly instead of
-    /// hand-subtracting two snapshots; cached entries and resident
-    /// sessions are untouched, and so is their occupancy.
+    /// The [`ServeStats`] view of `snap`, a [`QkbServer::registry_snapshot`]
+    /// that may carry other tiers' cells too (the network tier's).
+    pub fn stats_of(&self, snap: &RegistrySnapshot) -> ServeStats {
+        self.shared.metrics.stats(snap)
+    }
+
+    /// Zeroes every counter — one reset of [`ServeConfig::registry`],
+    /// which every tier, the network tier included, counts into — and
+    /// restarts the throughput clock and the latency ring. Benchmarks
+    /// call this at phase boundaries so a phase's stats are read
+    /// directly instead of hand-subtracting two snapshots; cached entries
+    /// and resident sessions are untouched, and so is their occupancy.
     pub fn reset_stats(&self) {
         self.shared.metrics.reset();
     }
@@ -562,10 +566,10 @@ impl<E: QueryEngine> QkbServer<E> {
         &self.shared.config.recorder
     }
 
-    /// A point-in-time snapshot of the metrics registry every serving
-    /// counter lives in, plus the occupancy gauges of the cache tiers,
-    /// the session store and the prefix forest, read from the live
-    /// stores now. [`ServeStats`] is the typed view of it.
+    /// A point-in-time snapshot of [`ServeConfig::registry`], the
+    /// registry every serving counter lives in, plus the occupancy gauges
+    /// of the cache tiers, the session store and the prefix forest, read
+    /// from the live stores now. [`ServeStats`] is the typed view of it.
     pub fn registry_snapshot(&self) -> RegistrySnapshot {
         self.shared.snapshot()
     }
@@ -583,8 +587,8 @@ impl<E: QueryEngine> QkbServer<E> {
         self.shared.sessions.sweep();
     }
 
-    /// Ids of the sessions resident right now (the durability tier's
-    /// liveness set when compacting its journal).
+    /// Ids of the sessions resident right now (what an explicit journal
+    /// compaction keeps; automatic snapshots keep every session).
     pub fn session_ids(&self) -> Vec<String> {
         self.shared.sessions.ids()
     }

@@ -1,11 +1,12 @@
-//! Serving metrics: every serving counter lives once, in one
-//! [`qkb_obs::Registry`] the server builds. The request path writes its
-//! own `serve_*` counters here; the three cache tiers, the session store
-//! and the prefix forest take their counter handles from the same
-//! registry when they are built. Occupancy (entries, bytes, capacity,
-//! live sessions, frozen layers) is read from the live stores when a
-//! snapshot is taken and never stored in the registry, so one
-//! [`Registry::reset`] zeroes exactly the counters.
+//! Serving metrics: every serving counter lives once, in the
+//! [`qkb_obs::Registry`] of `ServeConfig::registry`. The request path
+//! writes its own `serve_*` counters here; the three cache tiers, the
+//! session store, the prefix forest, and under `qkb_net` the network
+//! tier and its journal take their handles from the same registry.
+//! Occupancy (entries, bytes, capacity, live sessions, frozen layers) is
+//! read from the live stores when a snapshot is taken and never stored
+//! in the registry, so one [`Registry::reset`] zeroes exactly the
+//! counters.
 //!
 //! One [`RegistrySnapshot`] feeds both renderings: [`ServeStats`] reads
 //! its values by name (p50/p95 latency still come from the sample ring)
@@ -114,8 +115,8 @@ pub(crate) struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = Registry::new();
+    /// Registers the request path's counters in `registry`.
+    pub(crate) fn new(registry: &Registry) -> Self {
         Self {
             requests: registry.counter("serve_requests_total"),
             batches: registry.counter("serve_batches_total"),
@@ -137,7 +138,7 @@ impl ServeMetrics {
             resolve_cache_misses: registry.counter("serve_resolve_cache_misses_total"),
             resolve_cache_bypass: registry.counter("serve_resolve_cache_bypass_total"),
             latency_hist: registry.histogram("serve_request_latency_us"),
-            registry,
+            registry: registry.clone(),
             started: Mutex::new(Instant::now()),
             latencies_us: Mutex::new(LatencyRing::with_capacity(MAX_LATENCY_SAMPLES)),
         }
@@ -461,7 +462,7 @@ mod tests {
 
     #[test]
     fn snapshot_surfaces_dropped_count() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::new(&Registry::new());
         metrics.note_request(Duration::from_micros(100));
         let stats = plain_snapshot(&metrics);
         assert_eq!(stats.latency_samples_dropped, 0);
@@ -470,7 +471,7 @@ mod tests {
 
     #[test]
     fn percentiles_with_zero_samples_read_zero() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::new(&Registry::new());
         let stats = plain_snapshot(&metrics);
         assert_eq!(stats.latency_samples, 0);
         assert_eq!(stats.latency_p50_ms, 0.0);
@@ -481,7 +482,7 @@ mod tests {
 
     #[test]
     fn percentiles_with_one_sample_report_it_everywhere() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::new(&Registry::new());
         metrics.note_request(Duration::from_micros(2500));
         let stats = plain_snapshot(&metrics);
         assert_eq!(stats.latency_samples, 1);
@@ -492,7 +493,7 @@ mod tests {
 
     #[test]
     fn registry_mirrors_counters_and_reset_zeroes_everything() {
-        let metrics = ServeMetrics::new();
+        let metrics = ServeMetrics::new(&Registry::new());
         metrics.note_batch(5, 3);
         metrics.note_request(Duration::from_micros(10));
         metrics.note_inflight_coalesced();

@@ -6,13 +6,15 @@
 //!    spans, per-component resolve spans, and the cache-outcome lookup
 //!    span, all correctly nested under the request root;
 //! 2. **one exposition** — every counter and gauge of the `ServeStats`
-//!    JSON is exactly one Prometheus series with the same value, and
-//!    every series line of the network tier's text follows a `# TYPE`
-//!    line;
+//!    JSON, and every net and journal value of the `NetStats` JSON, is
+//!    exactly one Prometheus series with the same value, and every
+//!    series line of the network tier's text follows a `# TYPE` line;
 //! 3. **reset audit** — `QkbServer::reset_stats` zeroes every counter and
 //!    histogram of the one registry — request path, all three cache
 //!    tiers, the session store and the forest — while every occupancy
-//!    gauge keeps its value and resident state survives.
+//!    gauge keeps its value and resident state survives, and
+//!    `QkbNetServer::reset_stats` does the same with the net and journal
+//!    counters in that registry too.
 
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
@@ -22,7 +24,9 @@ use qkb_qa::QaSystem;
 use qkb_serve::{QkbServer, QueryRequest, ServeConfig, Served};
 use qkb_util::json::Value;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A small but real engine: generated world, BM25 corpus, QKBfly system.
 fn engine() -> QaSystem {
@@ -770,14 +774,19 @@ fn every_stats_value_is_exactly_one_prometheus_series() {
     }
 }
 
-#[test]
-fn every_network_tier_series_follows_its_type_line() {
-    let sys = Arc::new(engine());
-    let dir = std::env::temp_dir().join(format!("qkb_obs_types_{}", std::process::id()));
+/// A fresh journal directory for one test.
+fn journal_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("qkb_obs_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut journal = JournalConfig::new(&dir);
+    dir
+}
+
+/// A one-shard network server journaling into `dir`, on a fresh config
+/// (and so a fresh registry).
+fn net_server(sys: &Arc<QaSystem>, dir: &Path) -> QkbNetServer<Arc<QaSystem>> {
+    let mut journal = JournalConfig::new(dir);
     journal.fsync = false;
-    let server = QkbNetServer::start(
+    QkbNetServer::start(
         sys.clone(),
         NetConfig {
             journal: Some(journal),
@@ -789,18 +798,184 @@ fn every_network_tier_series_follows_its_type_line() {
             ..NetConfig::default()
         },
     )
-    .expect("net server starts");
+    .expect("net server starts")
+}
+
+/// A one-shot query and a turn of session `session` over the wire, then
+/// waits until the last request has released its queue slot, the final
+/// step of a request, so no counter moves afterwards.
+fn drive_the_wire(server: &QkbNetServer<Arc<QaSystem>>, q: &str, session: &str) {
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
-    let q = question(&sys);
-    client.query(QueryRequest::question(&q)).expect("query");
+    client.query(QueryRequest::question(q)).expect("query");
     client
-        .query_in_session("s", QueryRequest::question(&q))
+        .query_in_session(session, QueryRequest::question(q))
         .expect("session turn");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().queue_depth != 0 {
+        assert!(Instant::now() < deadline, "requests never finished");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The series kind of each name in a Prometheus text, from its `# TYPE`
+/// lines.
+fn kinds(text: &str) -> BTreeMap<&str, &str> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(|decl| decl.split_once(' ').expect("# TYPE name kind"))
+        .collect()
+}
+
+/// The series of each net and journal value in the `NetStats` JSON,
+/// keyed by JSON path. `serve.*` is `SERIES`' business.
+const NET_SERIES: &[(&str, &str)] = &[
+    ("connections_accepted", "net_connections_accepted_total"),
+    ("connections_rejected", "net_connections_rejected_total"),
+    ("frames_read", "net_frames_read_total"),
+    ("frames_written", "net_frames_written_total"),
+    ("frame_errors", "net_frame_errors_total"),
+    ("requests", "net_requests_total"),
+    ("shed_connection", "net_shed_connection_total"),
+    ("shed_global", "net_shed_global_total"),
+    ("queue_depth", "net_queue_depth"),
+    ("queue_depth_peak", "net_queue_depth_peak"),
+    ("replayed_turns", "net_replayed_turns_total"),
+    ("replay_dropped_records", "net_replay_dropped_records_total"),
+    ("journal.appends", "journal_appends_total"),
+    ("journal.appended_bytes", "journal_appended_bytes_total"),
+    ("journal.fsyncs", "journal_fsyncs_total"),
+    ("journal.rotations", "journal_rotations_total"),
+    ("journal.snapshots", "journal_snapshots_total"),
+    ("journal.torn_tails", "journal_torn_tails_total"),
+    (
+        "journal.recovered_records",
+        "journal_recovered_records_total",
+    ),
+    ("journal.io_errors", "journal_io_errors_total"),
+];
+
+#[test]
+fn every_net_stats_value_is_exactly_one_prometheus_series() {
+    let sys = Arc::new(engine());
+    let q = question(&sys);
+    let dir = journal_dir("net_series");
+    // Two lives, so the restarted server has replayed a journaled turn.
+    drive_the_wire(&net_server(&sys, &dir), &q, "s");
+    let server = net_server(&sys, &dir);
+    drive_the_wire(&server, &q, "s");
+    let stats = server.stats();
     let text = server.metrics_text();
-    drop(client);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 
+    let mut json = BTreeMap::new();
+    json_leaves(&stats.to_json(), "", &mut json);
+    let mapped: BTreeMap<&str, &str> = NET_SERIES.iter().copied().collect();
+    let net_paths: Vec<&str> = json
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !k.starts_with("serve."))
+        .collect();
+    assert_eq!(
+        net_paths,
+        mapped.keys().copied().collect::<Vec<_>>(),
+        "every net and journal value in the JSON has a series, and no other"
+    );
+    let exposed = series(&text);
+    let mut wrong = Vec::new();
+    for (path, name) in NET_SERIES {
+        let value = json[*path];
+        match exposed.get(name) {
+            Some(&(v, 1)) if v == value => {}
+            got => wrong.push(format!("{path} = {value}: {name} -> {got:?}")),
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} values without their one series:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+    for (path, v) in [
+        ("replayed_turns", 1.0),
+        ("journal.recovered_records", 1.0),
+        ("journal.appends", 1.0),
+        ("requests", 2.0),
+        ("queue_depth_peak", 1.0),
+    ] {
+        assert_eq!(json[path], v, "the traffic reached {path}");
+    }
+    let repeated: Vec<_> = exposed.iter().filter(|(_, &(_, n))| n != 1).collect();
+    assert!(repeated.is_empty(), "series exported twice: {repeated:?}");
+    let declared = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+    assert_eq!(declared, kinds(&text).len(), "a name declared twice");
+}
+
+/// `QkbNetServer::reset_stats` is the one registry's reset: every serve,
+/// net and journal counter and histogram reads zero afterwards, the
+/// queue depth reads the live depth (none in flight), and every
+/// occupancy gauge keeps its value.
+#[test]
+fn net_reset_zeroes_exactly_the_counters() {
+    let sys = Arc::new(engine());
+    let q = question(&sys);
+    let dir = journal_dir("net_reset");
+    let server = net_server(&sys, &dir);
+    drive_the_wire(&server, &q, "s");
+    let busy_text = server.metrics_text();
+    server.reset_stats();
+    let text = server.metrics_text();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (busy, after) = (series(&busy_text), series(&text));
+    let declared = kinds(&text);
+    assert_eq!(declared, kinds(&busy_text), "the reset keeps every series");
+    for name in [
+        "serve_requests_total",
+        "net_requests_total",
+        "journal_appends_total",
+        "serve_request_latency_us_count",
+        "serve_session_live",
+        "net_queue_depth_peak",
+    ] {
+        assert!(busy[name].0 > 0.0, "traffic must reach {name}");
+    }
+    for prefix in ["serve_", "net_", "journal_"] {
+        assert!(
+            declared
+                .iter()
+                .any(|(n, k)| n.starts_with(prefix) && *k == "counter"),
+            "{prefix}* counters are in the one exposition"
+        );
+    }
+    for (name, kind) in &declared {
+        match *kind {
+            "counter" => assert_eq!(after[name].0, 0.0, "reset must zero {name}"),
+            "histogram" => {
+                for part in ["count", "sum"] {
+                    let series = format!("{name}_{part}");
+                    assert_eq!(after[series.as_str()].0, 0.0, "reset must zero {series}");
+                }
+            }
+            "gauge" if name.starts_with("net_queue_depth") => {
+                assert_eq!(after[name].0, 0.0, "{name} reads the idle depth")
+            }
+            "gauge" => assert_eq!(after[name].0, busy[name].0, "occupancy {name} survives"),
+            other => panic!("{name} has unknown kind {other}"),
+        }
+    }
+}
+
+#[test]
+fn every_network_tier_series_follows_its_type_line() {
+    let sys = Arc::new(engine());
+    let dir = journal_dir("types");
+    let server = net_server(&sys, &dir);
+    drive_the_wire(&server, &question(&sys), "s");
+    let text = server.metrics_text();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
     for name in [
         "serve_requests_total",
         "net_requests_total",

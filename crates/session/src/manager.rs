@@ -199,9 +199,9 @@ impl SessionManager {
     }
 
     /// Ids of the sessions resident right now, in no particular order.
-    /// The durability tier uses this as the liveness set when compacting
-    /// its journal: records of sessions no longer resident are dropped
-    /// at the next snapshot instead of being replayed forever.
+    /// An explicit journal compaction keeps only these sessions'
+    /// records; the journal's automatic snapshots pass no such set and
+    /// keep every session's, evicted ones included.
     pub fn ids(&self) -> Vec<String> {
         self.inner
             .lock()

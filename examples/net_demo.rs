@@ -2,9 +2,12 @@
 //! TCP with a write-ahead session journal, a client session driven over
 //! the framed wire protocol, a simulated crash (the server is dropped
 //! without warning), and a restart that replays the journal — the
-//! session resumes warm, byte-identical to an uninterrupted run.
+//! session resumes warm, byte-identical to an uninterrupted run. Given
+//! an output directory, it writes the restarted server's Prometheus text
+//! there as `metrics.txt`: the serve, net and journal series of its one
+//! registry.
 //!
-//! Run: `cargo run --release --example net_demo`
+//! Run: `cargo run --release --example net_demo [-- OUT_DIR]`
 
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
@@ -14,6 +17,7 @@ use qkb_serve::QueryRequest;
 use std::sync::Arc;
 
 fn main() {
+    let out_dir = std::env::args().nth(1);
     // --- load the knowledge system (one-time, shared by all shards) ---
     let world = Arc::new(World::generate(WorldConfig::default()));
     let mut docs = qkb_corpus::docgen::wiki_corpus(&world, 20, 31).docs;
@@ -75,13 +79,13 @@ fn main() {
 
     // --- life 2: restart; the journal replays the committed turns ---
     let server = QkbNetServer::start(system, config()).expect("restart server");
-    let replay = server.replay_report();
+    let replay = server.stats();
     println!(
         "restarted on {}: replayed {} journaled turns ({} torn, {} dropped)",
         server.local_addr(),
         replay.replayed_turns,
-        replay.torn_tails,
-        replay.dropped_records
+        replay.journal.expect("journal attached").torn_tails,
+        replay.replay_dropped_records
     );
     let kb_after = server
         .session_kb_json("explorer")
@@ -103,5 +107,11 @@ fn main() {
         r.served, r.n_docs, r.n_facts
     );
 
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(&dir).expect("create output directory");
+        let path = std::path::Path::new(&dir).join("metrics.txt");
+        std::fs::write(&path, server.metrics_text()).expect("write metrics");
+        println!("metrics registry -> {}", path.display());
+    }
     let _ = std::fs::remove_dir_all(&journal_dir);
 }
