@@ -15,24 +15,13 @@
 //!   Fast: per-component programs with dominated candidates pruned and
 //!   the greedy incumbent warm-starting the search.
 //!
-//! A third arm exercises the **component resolve cache**: a fresh batch
-//! sharing ~70% of its coupling components with previously resolved
-//! documents (the serving overlap regime) is re-resolved on the ILP
-//! path against the production `qkb_serve::ComponentCache` tier —
-//! cached components replay, only novel ones reach the solver — and
-//! must clear the same ≥2x resolve-stage bar with a byte-identical KB,
-//! cache on or off, at every `resolve_parallelism`.
-//!
 //! The JSON report (default `BENCH_resolve.json`) records `resolve_us`,
 //! `ilp_variables` and `bnb_nodes` series per parallelism; all arms
 //! assert the ≥2x speedup bar that CI enforces.
 
 use qkb_bench::{build_fixture, Table};
-use qkb_obs::Registry;
-use qkb_serve::ComponentCache;
 use qkb_util::json::Value;
 use qkbfly::{Qkbfly, ResolveCounters, SolverKind, Variant};
-use std::sync::Arc;
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -189,98 +178,6 @@ fn print_arms(title: &str, baseline: &ArmRun, arms: &[Arm]) {
     table.print();
 }
 
-/// The incremental re-resolution arm: the resolve stage on *fresh*
-/// documents overlapping ~70% with seen ones, cache off vs. warmed
-/// component cache, at `resolve_parallelism` 1/2/8.
-///
-/// Honesty note: every cache-on rep gets a **fresh** tier warmed by one
-/// untimed build of the seen documents, then exactly one timed build of
-/// the fresh documents — so min-of-reps cannot pick a rep whose fresh
-/// components were already cached by an earlier rep.
-fn bench_component_cache(
-    base_sys: &Qkbfly,
-    seen: &[String],
-    fresh: &[String],
-    reps: usize,
-    bar: f64,
-) -> Value {
-    let mut table = Table::new([
-        "resolve_parallelism",
-        "Cache off",
-        "Cache on (warmed)",
-        "Speedup",
-        "Hit rate",
-    ]);
-    let mut series = Vec::new();
-    let mut headline = f64::INFINITY;
-    for parallelism in [1usize, 2, 8] {
-        let sys = base_sys.with_config_override(|c| {
-            c.resolve_decomposition = true;
-            c.resolve_parallelism = parallelism;
-        });
-        let off = run_arm(&sys, fresh, reps);
-        let mut on_s = f64::INFINITY;
-        let mut fingerprint = String::new();
-        let mut counters = ResolveCounters::default();
-        for rep in 0..reps {
-            let tier = Arc::new(ComponentCache::new(256 << 20, 8, &Registry::new()));
-            let cached = sys.with_resolve_cache(tier.clone());
-            let warm = cached.build_kb(seen); // untimed warm-up
-            std::hint::black_box(warm.kb.n_facts());
-            let result = cached.build_kb(fresh);
-            if rep == 0 {
-                fingerprint = result.kb.to_json(sys.patterns()).to_string();
-                for d in &result.per_doc {
-                    counters.add(&d.resolve);
-                }
-            }
-            on_s = on_s.min(result.timings.resolve.as_secs_f64());
-        }
-        assert_eq!(
-            fingerprint, off.fingerprint,
-            "component cache changed the KB at resolve_parallelism={parallelism} — \
-             collision-safety bug"
-        );
-        assert!(
-            counters.cache_hits > 0,
-            "the overlapping fresh documents must replay cached components"
-        );
-        let hit_rate =
-            counters.cache_hits as f64 / (counters.cache_hits + counters.cache_misses) as f64;
-        let speedup = off.resolve_s / on_s;
-        headline = headline.min(speedup);
-        table.row([
-            format!("x{parallelism}"),
-            format!("{:.1} ms", off.resolve_s * 1e3),
-            format!("{:.1} ms", on_s * 1e3),
-            format!("{speedup:.2}x"),
-            format!("{:.0}%", hit_rate * 100.0),
-        ]);
-        series.push(
-            Value::object()
-                .with("resolve_parallelism", parallelism)
-                .with("resolve_off_us", off.resolve_s * 1e6)
-                .with("resolve_on_us", on_s * 1e6)
-                .with("speedup", speedup)
-                .with("cache_hits", counters.cache_hits)
-                .with("cache_misses", counters.cache_misses)
-                .with("hit_rate", hit_rate),
-        );
-    }
-    table.print();
-    println!("\ncomponent_cache: {headline:.2}x worst-case over cache-off (bar: {bar:.1}x)");
-    assert!(
-        headline >= bar,
-        "component_cache: resolve speedup {headline:.2}x is below the {bar:.1}x bar"
-    );
-    Value::object()
-        .with("seen_docs", seen.len())
-        .with("fresh_docs", fresh.len())
-        .with("series", Value::array(series))
-        .with("speedup", headline)
-        .with("deterministic", true)
-}
-
 fn main() {
     let quick = arg_flag("--quick") || std::env::var("QKB_BENCH_QUICK").as_deref() == Ok("1");
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_resolve.json".to_string());
@@ -340,32 +237,6 @@ fn main() {
     let (ilp_base, ilp_arms) = bench_solver(&ilp_sys, &ilp_docs, reps, "ilp");
     print_arms("ilp", &ilp_base, &ilp_arms);
 
-    // --- component-cache arm: incremental re-resolution on the ILP
-    // path, where the per-component solve (candidate scoring, program
-    // build, branch-and-bound) is what a cache hit skips. The fresh
-    // batch models the serving overlap regime: a new query's retrieved
-    // set re-retrieves ~70% already-resolved documents (all their
-    // components replay — same text, same canonical keys) plus
-    // never-seen documents that alone reach the solver.
-    println!("\n== resolve stage: component cache on overlapping fresh documents ==");
-    let join_pages = |pages: &[qkb_corpus::docgen::GoldDoc]| -> Vec<String> {
-        pages
-            .chunks(2)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|d| d.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join("\n\n")
-            })
-            .collect()
-    };
-    let seen_n = if quick { 7 } else { 14 };
-    let seen_docs = join_pages(&fx.news(seen_n * 2, 977).docs);
-    let novel_docs = join_pages(&fx.news((seen_n * 3 / 7) * 2, 31415).docs);
-    let fresh_docs: Vec<String> = seen_docs.iter().cloned().chain(novel_docs).collect();
-    let cc_json = bench_component_cache(&ilp_sys, &seen_docs, &fresh_docs, reps, 2.0);
-
     let greedy_json = arm_json("greedy", docs.len(), &greedy_base, &greedy_arms, 2.0);
     let ilp_json = arm_json("ilp", ilp_docs.len(), &ilp_base, &ilp_arms, 2.0);
 
@@ -374,8 +245,7 @@ fn main() {
         .with("quick", quick)
         .with("reps", reps)
         .with("greedy", greedy_json)
-        .with("ilp", ilp_json)
-        .with("component_cache", cc_json);
+        .with("ilp", ilp_json);
     std::fs::write(&out_path, format!("{report}\n")).expect("write JSON report");
     println!("\nreport written to {out_path}");
 }

@@ -54,11 +54,7 @@ const SERVE_METRICS: &[MetricSpec] = &[
 ];
 const SESSION_METRICS: &[MetricSpec] = &[higher("speedup"), higher("session_rps")];
 const INCREMENTAL_METRICS: &[MetricSpec] = &[higher("speedup"), higher("twotier_rps")];
-const RESOLVE_METRICS: &[MetricSpec] = &[
-    higher("greedy.speedup"),
-    higher("ilp.speedup"),
-    higher("component_cache.speedup"),
-];
+const RESOLVE_METRICS: &[MetricSpec] = &[higher("greedy.speedup"), higher("ilp.speedup")];
 const NET_METRICS: &[MetricSpec] = &[higher("replay_speedup")];
 // `warmup_speedup` is asserted (≥2x) inside the bin rather than gated
 // here: its denominator is a microseconds-scale fork, too jittery for a
@@ -255,29 +251,24 @@ mod tests {
 
     #[test]
     fn nested_paths_resolve() {
-        let mk = |g: f64, i: f64, c: f64| {
+        let mk = |g: f64, i: f64| {
             Value::object()
                 .with("bench", "resolve")
                 .with("greedy", Value::object().with("speedup", g))
                 .with("ilp", Value::object().with("speedup", i))
-                .with("component_cache", Value::object().with("speedup", c))
         };
-        let base = mk(3.5, 27.0, 4.0);
-        assert!(check_pair(&base, &mk(3.4, 26.0, 3.8))
+        let base = mk(3.5, 27.0);
+        assert!(check_pair(&base, &mk(3.4, 26.0))
             .expect("ok")
             .regressions
             .is_empty());
-        let regs = check_pair(&base, &mk(1.5, 26.0, 3.8))
-            .expect("ok")
-            .regressions;
+        let regs = check_pair(&base, &mk(1.5, 26.0)).expect("ok").regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].path, "greedy.speedup");
-        // A collapsed cache speedup trips its own headline.
-        let regs = check_pair(&base, &mk(3.5, 27.0, 1.0))
-            .expect("ok")
-            .regressions;
+        // A collapsed ILP speedup trips its own headline.
+        let regs = check_pair(&base, &mk(3.5, 10.0)).expect("ok").regressions;
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].path, "component_cache.speedup");
+        assert_eq!(regs[0].path, "ilp.speedup");
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //! recombined output is byte-for-byte what the monolithic solve
 //! produces at any `resolve_parallelism`.
 
-use crate::densify::{DensifyOutcome, MentionResolution};
+use crate::densify::{densify_deferred, DensifyOutcome, MentionResolution};
 use crate::graph::{EdgeKind, NodeId, SemanticGraph};
-use crate::ilp::{IlpOutcome, IlpSolveOptions};
-use crate::resolve_cache::{cached_densify, cached_ilp, CacheTally, ResolveCacheProvider};
+use crate::ilp::{resolve_ilp_subset, IlpOutcome, IlpSolveOptions};
 use crate::weights::WeightModel;
 use qkb_kb::{BackgroundStats, EntityRepository};
 use qkb_obs::Recorder;
@@ -85,14 +84,10 @@ pub fn decompose(graph: &SemanticGraph, mentions: &[NodeId]) -> Vec<Vec<NodeId>>
 /// Greedy densification, component-decomposed and fanned out over
 /// `workers` threads. Every per-component solve uses the lazy
 /// (memoized-contribution) greedy loop — byte-identical to the naive
-/// loop, see `densify_deferred` — and, when a `cache` provider is
-/// attached, components whose canonical fingerprint is already solved
-/// replay the cached assignment instead of entering the loop (see
-/// `resolve_cache`). Edge kills are buffered per component and applied
-/// serially in component order after the join, so the graph mutation is
-/// deterministic. Returns the combined outcome, the component count and
-/// the cache-outcome tally.
-#[allow(clippy::too_many_arguments)]
+/// loop, see `densify_deferred`. Edge kills are buffered per component
+/// and applied serially in component order after the join, so the graph
+/// mutation is deterministic. Returns the combined outcome and the
+/// component count.
 pub fn densify_decomposed(
     graph: &mut SemanticGraph,
     mentions: &[NodeId],
@@ -100,29 +95,20 @@ pub fn densify_decomposed(
     stats: &BackgroundStats,
     repo: &EntityRepository,
     workers: usize,
-    cache: Option<&dyn ResolveCacheProvider>,
     recorder: &Recorder,
-) -> (DensifyOutcome, usize, CacheTally) {
+) -> (DensifyOutcome, usize) {
     let components = decompose(graph, mentions);
-    let mut tally = CacheTally::default();
     if components.len() <= 1 {
         let n = components.len();
         let mut span = recorder.span("resolve_component");
         span.field("component", 0usize);
         span.field("mentions", mentions.len());
-        // An empty mention set has nothing to cache; a single component
-        // is the whole problem and caches like any other.
-        let cache = if n == 0 { None } else { cache };
-        let (outcome, kills, hit) = cached_densify(graph, mentions, model, stats, repo, cache);
-        span.field("cache", hit.as_str());
-        if n > 0 {
-            hit.tally(&mut tally);
-        }
+        let (outcome, kills) = densify_deferred(graph, mentions, model, stats, repo, true);
         drop(span);
         for e in kills {
             graph.kill_edge(e);
         }
-        return (outcome, n, tally);
+        return (outcome, n);
     }
     let parent = recorder.current();
     let results = {
@@ -131,15 +117,12 @@ pub fn densify_decomposed(
             let mut span = recorder.span_at("resolve_component", parent);
             span.field("component", i);
             span.field("mentions", comp.len());
-            let (out, kills, hit) = cached_densify(g, comp, model, stats, repo, cache);
-            span.field("cache", hit.as_str());
-            (out, kills, hit)
+            densify_deferred(g, comp, model, stats, repo, true)
         })
     };
     let n = components.len();
     let mut outcome = DensifyOutcome::default();
-    for (part, kills, hit) in results {
-        hit.tally(&mut tally);
+    for (part, kills) in results {
         outcome.objective += part.objective;
         outcome.removed_edges += part.removed_edges;
         outcome.resolutions.extend(part.resolutions);
@@ -147,7 +130,7 @@ pub fn densify_decomposed(
             graph.kill_edge(e);
         }
     }
-    (outcome, n, tally)
+    (outcome, n)
 }
 
 /// ILP resolution, component-decomposed and fanned out over `workers`
@@ -164,38 +147,26 @@ pub(crate) fn resolve_ilp_decomposed(
     repo: &EntityRepository,
     workers: usize,
     opts: IlpSolveOptions,
-    cache: Option<&dyn ResolveCacheProvider>,
     recorder: &Recorder,
-) -> (IlpOutcome, usize, CacheTally) {
+) -> (IlpOutcome, usize) {
     let components = decompose(graph, mentions);
-    let mut tally = CacheTally::default();
     if components.len() <= 1 {
         let n = components.len();
         let mut span = recorder.span("resolve_component");
         span.field("component", 0usize);
         span.field("mentions", mentions.len());
-        let cache = if n == 0 { None } else { cache };
-        let (out, hit) = cached_ilp(graph, mentions, model, stats, repo, opts, cache);
-        span.field("cache", hit.as_str());
-        if n > 0 {
-            hit.tally(&mut tally);
-        }
-        return (out, n, tally);
+        let out = resolve_ilp_subset(graph, mentions, model, stats, repo, opts);
+        return (out, n);
     }
     let parent = recorder.current();
     let parts = par_map_ordered(&components, workers, |i, comp| {
         let mut span = recorder.span_at("resolve_component", parent);
         span.field("component", i);
         span.field("mentions", comp.len());
-        let (out, hit) = cached_ilp(graph, comp, model, stats, repo, opts, cache);
-        span.field("cache", hit.as_str());
-        (out, hit)
+        resolve_ilp_subset(graph, comp, model, stats, repo, opts)
     });
     let n = components.len();
-    for (_, hit) in &parts {
-        hit.tally(&mut tally);
-    }
-    let infeasible = parts.iter().any(|(p, _)| p.infeasible);
+    let infeasible = parts.iter().any(|p| p.infeasible);
     let mut out = IlpOutcome {
         resolutions: FxHashMap::default(),
         objective: 0.0,
@@ -205,7 +176,7 @@ pub(crate) fn resolve_ilp_decomposed(
         nodes: 0,
         pruned_candidates: 0,
     };
-    for (part, _) in parts {
+    for part in parts {
         out.n_variables += part.n_variables;
         out.nodes += part.nodes;
         out.pruned_candidates += part.pruned_candidates;
@@ -220,7 +191,7 @@ pub(crate) fn resolve_ilp_decomposed(
             out.resolutions.insert(m, MentionResolution::default());
         }
     }
-    (out, n, tally)
+    (out, n)
 }
 
 #[cfg(test)]
@@ -228,8 +199,7 @@ mod tests {
     use super::*;
     use crate::build::{build_graph, BuildConfig};
     use crate::densify::densify;
-    use crate::ilp::{resolve_ilp, resolve_ilp_subset};
-    use crate::resolve_cache::MemoryResolveCache;
+    use crate::ilp::resolve_ilp;
     use qkb_kb::{Gender, StatsBuilder};
     use qkb_nlp::Pipeline;
     use qkb_openie::ClausIe;
@@ -333,21 +303,16 @@ mod tests {
 
             let mut dec = built(&repo, &stats, text);
             let mentions = dec.mentions.clone();
-            let (out, n, tally) = densify_decomposed(
+            let (out, n) = densify_decomposed(
                 &mut dec.graph,
                 &mentions,
                 &model,
                 &stats,
                 &repo,
                 workers,
-                None,
                 &Recorder::disabled(),
             );
             assert!(n >= 1);
-            assert_eq!(
-                tally.bypass, n as u64,
-                "no provider: every component bypasses"
-            );
             assert_eq!(out.resolutions.len(), base.resolutions.len());
             for (node, res) in &base.resolutions {
                 let got = &out.resolutions[node];
@@ -355,114 +320,6 @@ mod tests {
                 assert_eq!(got.antecedent, res.antecedent);
                 assert!((got.confidence - res.confidence).abs() < 1e-15);
             }
-        }
-    }
-
-    #[test]
-    fn cached_densify_replays_byte_identically() {
-        let (repo, stats) = fixture();
-        let model = WeightModel::default();
-        let text = "Marcus Keller plays for Liverpool. He scored against Ashford United. \
-                    Ashford United lost again. Keller joined Liverpool in 2014.";
-        let cache = MemoryResolveCache::new();
-        let mut cold = built(&repo, &stats, text);
-        let mentions = cold.mentions.clone();
-        let (base, n, tally) = densify_decomposed(
-            &mut cold.graph,
-            &mentions,
-            &model,
-            &stats,
-            &repo,
-            2,
-            Some(&cache),
-            &Recorder::disabled(),
-        );
-        assert_eq!(tally.misses, n as u64, "cold pass misses every component");
-        assert_eq!(cache.len(), n);
-
-        let mut warm = built(&repo, &stats, text);
-        let mentions = warm.mentions.clone();
-        let (out, _, tally) = densify_decomposed(
-            &mut warm.graph,
-            &mentions,
-            &model,
-            &stats,
-            &repo,
-            2,
-            Some(&cache),
-            &Recorder::disabled(),
-        );
-        assert_eq!(tally.hits, n as u64, "warm pass hits every component");
-        assert_eq!(tally.misses, 0);
-        assert_eq!(out.resolutions.len(), base.resolutions.len());
-        assert_eq!(out.objective.to_bits(), base.objective.to_bits());
-        assert_eq!(out.removed_edges, base.removed_edges);
-        for (node, res) in &base.resolutions {
-            let got = &out.resolutions[node];
-            assert_eq!(got.entity, res.entity);
-            assert_eq!(got.antecedent, res.antecedent);
-            assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
-        }
-        // The replayed kills leave the graph in the same live-edge state.
-        let cold_alive: Vec<bool> = cold
-            .graph
-            .edge_ids()
-            .map(|e| cold.graph.edge(e).alive)
-            .collect();
-        let warm_alive: Vec<bool> = warm
-            .graph
-            .edge_ids()
-            .map(|e| warm.graph.edge(e).alive)
-            .collect();
-        assert_eq!(cold_alive, warm_alive);
-    }
-
-    #[test]
-    fn cached_ilp_replays_byte_identically() {
-        let (repo, stats) = fixture();
-        let model = WeightModel::default();
-        let text = "Marcus Keller plays for Liverpool. Ashford United lost again.";
-        let b = built(&repo, &stats, text);
-        let opts = IlpSolveOptions {
-            prune: true,
-            warm_start: true,
-        };
-        let cache = MemoryResolveCache::new();
-        let (base, n, tally) = resolve_ilp_decomposed(
-            &b.graph,
-            &b.mentions,
-            &model,
-            &stats,
-            &repo,
-            2,
-            opts,
-            Some(&cache),
-            &Recorder::disabled(),
-        );
-        assert_eq!(tally.misses, n as u64);
-        let (out, _, tally) = resolve_ilp_decomposed(
-            &b.graph,
-            &b.mentions,
-            &model,
-            &stats,
-            &repo,
-            2,
-            opts,
-            Some(&cache),
-            &Recorder::disabled(),
-        );
-        assert_eq!(tally.hits, n as u64);
-        assert_eq!(out.objective.to_bits(), base.objective.to_bits());
-        assert_eq!(out.optimal, base.optimal);
-        assert_eq!(out.infeasible, base.infeasible);
-        // Cached components report zero solver effort.
-        assert_eq!(out.n_variables, 0);
-        assert_eq!(out.nodes, 0);
-        for (node, res) in &base.resolutions {
-            let got = &out.resolutions[node];
-            assert_eq!(got.entity, res.entity);
-            assert_eq!(got.antecedent, res.antecedent);
-            assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
         }
     }
 
@@ -478,7 +335,7 @@ mod tests {
                 prune: true,
                 warm_start: true,
             };
-            let (out, n, _) = resolve_ilp_decomposed(
+            let (out, n) = resolve_ilp_decomposed(
                 &mono.graph,
                 &mono.mentions,
                 &model,
@@ -486,7 +343,6 @@ mod tests {
                 &repo,
                 workers,
                 opts,
-                None,
                 &Recorder::disabled(),
             );
             assert!(n > 1);

@@ -47,12 +47,10 @@ pub mod densify;
 pub mod graph;
 pub mod ilp;
 pub mod pipeline;
-pub mod resolve_cache;
 pub mod train;
 pub mod weights;
 
 pub use densify::{DensifyOutcome, MentionResolution};
 pub use graph::{EdgeKind, NodeId, NodeKind, SemanticGraph};
 pub use pipeline::*;
-pub use resolve_cache::{CacheTally, CachedComponent, MemoryResolveCache, ResolveCacheProvider};
 pub use weights::WeightModel;

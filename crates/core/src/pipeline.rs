@@ -20,7 +20,6 @@ use crate::densify::{
 };
 use crate::graph::{EdgeKind, NodeId, NodeKind, SemanticGraph};
 use crate::ilp::{resolve_ilp, IlpSolveOptions};
-use crate::resolve_cache::ResolveCacheProvider;
 use crate::weights::WeightModel;
 use qkb_kb::{BackgroundStats, EntityId, EntityRepository, Fact, OnTheFlyKb, PatternRepository};
 use qkb_nlp::Pipeline as NlpPipeline;
@@ -193,14 +192,6 @@ pub struct ResolveCounters {
     /// Candidate entities eliminated by the admissible pruning bound
     /// before the solver.
     pub pruned_candidates: u64,
-    /// Components replayed from the resolve cache (exact re-check
-    /// passed; the solver never ran).
-    pub cache_hits: u64,
-    /// Components solved fresh with a resolve cache attached (first
-    /// sight, uncacheable, or re-check rejection).
-    pub cache_misses: u64,
-    /// Components resolved with no resolve cache attached.
-    pub cache_bypass: u64,
 }
 
 impl ResolveCounters {
@@ -210,9 +201,6 @@ impl ResolveCounters {
         self.ilp_variables += other.ilp_variables;
         self.bnb_nodes += other.bnb_nodes;
         self.pruned_candidates += other.pruned_candidates;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_bypass += other.cache_bypass;
     }
 
     /// JSON rendering for benchmark reports and serving stats.
@@ -222,9 +210,6 @@ impl ResolveCounters {
             .with("ilp_variables", self.ilp_variables)
             .with("bnb_nodes", self.bnb_nodes)
             .with("pruned_candidates", self.pruned_candidates)
-            .with("cache_hits", self.cache_hits)
-            .with("cache_misses", self.cache_misses)
-            .with("cache_bypass", self.cache_bypass)
     }
 }
 
@@ -384,9 +369,6 @@ pub struct BuildCounters {
     ilp_variables: AtomicU64,
     bnb_nodes: AtomicU64,
     pruned_candidates: AtomicU64,
-    resolve_cache_hits: AtomicU64,
-    resolve_cache_misses: AtomicU64,
-    resolve_cache_bypass: AtomicU64,
 }
 
 impl BuildCounters {
@@ -417,9 +399,6 @@ impl BuildCounters {
             ilp_variables: self.ilp_variables.load(Ordering::Relaxed),
             bnb_nodes: self.bnb_nodes.load(Ordering::Relaxed),
             pruned_candidates: self.pruned_candidates.load(Ordering::Relaxed),
-            cache_hits: self.resolve_cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.resolve_cache_misses.load(Ordering::Relaxed),
-            cache_bypass: self.resolve_cache_bypass.load(Ordering::Relaxed),
         }
     }
 
@@ -440,12 +419,6 @@ impl BuildCounters {
         self.bnb_nodes.fetch_add(c.bnb_nodes, Ordering::Relaxed);
         self.pruned_candidates
             .fetch_add(c.pruned_candidates, Ordering::Relaxed);
-        self.resolve_cache_hits
-            .fetch_add(c.cache_hits, Ordering::Relaxed);
-        self.resolve_cache_misses
-            .fetch_add(c.cache_misses, Ordering::Relaxed);
-        self.resolve_cache_bypass
-            .fetch_add(c.cache_bypass, Ordering::Relaxed);
     }
 }
 
@@ -465,7 +438,6 @@ pub struct Qkbfly {
     clausie: Arc<ClausIe>,
     counters: Arc<BuildCounters>,
     recorder: Recorder,
-    resolve_cache: Option<Arc<dyn ResolveCacheProvider>>,
     config: QkbflyConfig,
 }
 
@@ -495,7 +467,6 @@ impl Qkbfly {
             clausie: Arc::new(ClausIe::new()),
             counters: Arc::new(BuildCounters::default()),
             recorder: Recorder::disabled(),
-            resolve_cache: None,
             config,
         }
     }
@@ -561,20 +532,6 @@ impl Qkbfly {
     /// The flight recorder this handle traces into.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    /// A new handle resolving through the given component cache
-    /// ([`ResolveCacheProvider`]): solved coupling components replay
-    /// their cached assignment instead of re-entering the solver, with
-    /// an exact structural re-check on every hit. The KB is
-    /// byte-identical with or without the cache. The provider must only
-    /// be shared between handles cloned from the same system (its keys
-    /// abstract over this process's entity/symbol interning).
-    /// Repositories and counters stay shared.
-    pub fn with_resolve_cache(&self, cache: Arc<dyn ResolveCacheProvider>) -> Self {
-        let mut out = self.clone();
-        out.resolve_cache = Some(cache);
-        out
     }
 
     /// Cumulative build counters shared across all clones of this handle.
@@ -864,7 +821,7 @@ impl Qkbfly {
                 }
             }
             (_, SolverKind::Ilp) => {
-                let (out, components, tally) = if self.config.resolve_decomposition {
+                let (out, components) = if self.config.resolve_decomposition {
                     resolve_ilp_decomposed(
                         &built.graph,
                         &mentions,
@@ -876,23 +833,19 @@ impl Qkbfly {
                             prune: true,
                             warm_start: true,
                         },
-                        self.resolve_cache.as_deref(),
                         &self.recorder,
                     )
                 } else {
                     // Monolithic cold baseline: one big program, no
-                    // pruning, no warm start, no component cache.
+                    // pruning, no warm start.
                     let out = resolve_ilp(&built.graph, &mentions, &model, &self.stats, &self.repo);
-                    (out, 1, Default::default())
+                    (out, 1)
                 };
                 diag.resolve = ResolveCounters {
                     components: components as u64,
                     ilp_variables: out.n_variables as u64,
                     bnb_nodes: out.nodes,
                     pruned_candidates: out.pruned_candidates as u64,
-                    cache_hits: tally.hits,
-                    cache_misses: tally.misses,
-                    cache_bypass: tally.bypass,
                 };
                 apply_resolutions(&mut built.graph, &mentions, &out.resolutions);
                 crate::densify::DensifyOutcome {
@@ -903,20 +856,16 @@ impl Qkbfly {
             }
             (_, SolverKind::Greedy) => {
                 if self.config.resolve_decomposition {
-                    let (out, components, tally) = densify_decomposed(
+                    let (out, components) = densify_decomposed(
                         &mut built.graph,
                         &mentions,
                         &model,
                         &self.stats,
                         &self.repo,
                         qkb_util::effective_parallelism(self.config.resolve_parallelism),
-                        self.resolve_cache.as_deref(),
                         &self.recorder,
                     );
                     diag.resolve.components = components as u64;
-                    diag.resolve.cache_hits = tally.hits;
-                    diag.resolve.cache_misses = tally.misses;
-                    diag.resolve.cache_bypass = tally.bypass;
                     out
                 } else {
                     diag.resolve.components = 1;
@@ -929,9 +878,6 @@ impl Qkbfly {
         resolve_span.field("ilp_variables", diag.resolve.ilp_variables);
         resolve_span.field("bnb_nodes", diag.resolve.bnb_nodes);
         resolve_span.field("pruned_candidates", diag.resolve.pruned_candidates);
-        resolve_span.field("cache_hits", diag.resolve.cache_hits);
-        resolve_span.field("cache_misses", diag.resolve.cache_misses);
-        resolve_span.field("cache_bypass", diag.resolve.cache_bypass);
         drop(resolve_span);
         diag.timings.resolve = t2.elapsed();
         self.counters.record_resolve(&diag.resolve);

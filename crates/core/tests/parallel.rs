@@ -4,9 +4,7 @@
 //! document order with stable tie-breaking.
 
 use qkb_corpus::world::{World, WorldConfig};
-use qkbfly::{BuildResult, MemoryResolveCache, Qkbfly, QkbflyConfig, SolverKind, Variant};
-use std::collections::HashSet;
-use std::sync::Arc;
+use qkbfly::{BuildResult, Qkbfly, QkbflyConfig, SolverKind, Variant};
 
 fn system(world: &World, parallelism: usize) -> Qkbfly {
     let bg = qkb_corpus::background::background_corpus(world, 10, 5);
@@ -115,144 +113,6 @@ fn component_parallel_resolve_is_byte_identical() {
             );
         }
     }
-}
-
-/// The component resolve cache is invisible in the output: with the
-/// cache attached, a build — including a second build whose documents
-/// overlap the first, so cached components genuinely *replay* — is
-/// byte-identical to the cache-free build at every `resolve_parallelism`
-/// and for both solvers. A cached assignment is definitionally the
-/// assignment the solver would produce.
-#[test]
-fn component_cache_does_not_change_the_kb() {
-    let world = World::generate(WorldConfig::default());
-    let first = batch(&world, 8);
-    // Fresh documents sharing a prefix with the first batch: the shared
-    // documents' components must come back as cache hits.
-    let mut second: Vec<String> = first[2..].to_vec();
-    second.extend(
-        qkb_corpus::docgen::news_corpus(&world, 4, 9)
-            .docs
-            .iter()
-            .map(|d| d.text.clone()),
-    );
-
-    for solver in [SolverKind::Greedy, SolverKind::Ilp] {
-        for resolve_parallelism in [1usize, 2, 8] {
-            let base_sys = system(&world, 1).with_config_override(|c| {
-                c.solver = solver;
-                c.resolve_decomposition = true;
-                c.resolve_parallelism = resolve_parallelism;
-            });
-            let fp_first = fingerprint(&base_sys, &base_sys.build_kb(&first));
-            let fp_second = fingerprint(&base_sys, &base_sys.build_kb(&second));
-
-            let cache = Arc::new(MemoryResolveCache::new());
-            let cached_sys = base_sys.with_resolve_cache(cache.clone());
-            assert_eq!(
-                fingerprint(&cached_sys, &cached_sys.build_kb(&first)),
-                fp_first,
-                "solver={solver:?} rp={resolve_parallelism}: cold cached build diverged"
-            );
-            let hits_cold = cache.hits();
-            assert_eq!(
-                fingerprint(&cached_sys, &cached_sys.build_kb(&second)),
-                fp_second,
-                "solver={solver:?} rp={resolve_parallelism}: warm cached build diverged"
-            );
-            assert!(
-                cache.hits() > hits_cold,
-                "solver={solver:?} rp={resolve_parallelism}: the overlapping batch \
-                 must replay cached components"
-            );
-            assert_eq!(cache.rejects(), 0, "no collisions expected in the fixture");
-        }
-    }
-}
-
-/// Builds `docs` against a fresh key-observing cache and returns the set
-/// of component fingerprint keys the build stored.
-fn component_keys(sys: &Qkbfly, docs: &[String]) -> HashSet<u64> {
-    let cache = Arc::new(MemoryResolveCache::new());
-    let _ = sys.with_resolve_cache(cache.clone()).build_kb(docs);
-    cache.keys().into_iter().collect()
-}
-
-/// Component fingerprints are position-independent (prepending unrelated
-/// sentences shifts every sentence index and node id of the original
-/// text but leaves its components' keys unchanged) and order-independent
-/// (swapping two uncoupled sentences permutes mention order and node
-/// ids but yields the same key set).
-#[test]
-fn component_fingerprints_ignore_offsets_and_uncoupled_order() {
-    let world = World::generate(WorldConfig::default());
-    let sys = system(&world, 1);
-    let names: Vec<String> = world
-        .repo
-        .iter()
-        .take(2)
-        .map(|e| e.canonical.clone())
-        .collect();
-    let (a, b) = (&names[0], &names[1]);
-
-    let sent_a = format!("{a} visited the northern village.");
-    let sent_b = format!("{b} opened a small workshop.");
-    let filler = "The morning stayed quiet. Harvest season began early.";
-
-    let base = component_keys(&sys, std::slice::from_ref(&sent_a));
-    assert!(
-        !base.is_empty(),
-        "fixture must produce cacheable components"
-    );
-    let shifted = component_keys(&sys, &[format!("{filler} {sent_a}")]);
-    assert!(
-        base.is_subset(&shifted),
-        "prepending filler sentences must not perturb the original \
-         components' keys: {base:?} vs {shifted:?}"
-    );
-
-    let ab = component_keys(&sys, &[format!("{sent_a} {sent_b}")]);
-    let ba = component_keys(&sys, &[format!("{sent_b} {sent_a}")]);
-    assert_eq!(
-        ab, ba,
-        "reordering uncoupled mentions must not change the key set"
-    );
-    assert!(
-        ab.is_superset(&base),
-        "the A component survives composition"
-    );
-}
-
-/// Collision safety: deliberately poisoning a cache entry (storing a
-/// different component's payload under a key) is detected by the exact
-/// structural re-check — the entry is rejected, the component re-solved,
-/// and the KB stays byte-identical.
-#[test]
-fn poisoned_cache_entry_is_rejected_not_replayed() {
-    let world = World::generate(WorldConfig::default());
-    let docs = batch(&world, 6);
-    let sys = system(&world, 1);
-    let clean_fp = fingerprint(&sys, &sys.build_kb(&docs));
-
-    let cache = Arc::new(MemoryResolveCache::new());
-    let cached_sys = sys.with_resolve_cache(cache.clone());
-    let _ = cached_sys.build_kb(&docs);
-    let keys = cache.keys();
-    assert!(keys.len() >= 2, "need two components to cross-poison");
-    assert!(
-        cache.poison_with(keys[0], keys[1]),
-        "both keys must be resident"
-    );
-
-    let poisoned_fp = fingerprint(&cached_sys, &cached_sys.build_kb(&docs));
-    assert!(
-        cache.rejects() >= 1,
-        "the re-check must reject the poisoned entry"
-    );
-    assert_eq!(
-        poisoned_fp, clean_fp,
-        "a rejected entry must be re-solved, never replayed"
-    );
 }
 
 #[test]

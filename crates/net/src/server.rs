@@ -21,13 +21,21 @@
 //! frame instead of queueing unboundedly:
 //!
 //! * **per-connection inflight budget** — a connection with
-//!   [`NetConfig::inflight_per_connection`] unanswered requests has new
-//!   ones shed with `Busy(Connection)`;
-//! * **global queue-depth watermark** — admitted-but-unanswered requests
-//!   across all connections are counted with a compare-and-swap loop
-//!   against [`NetConfig::queue_watermark`], so the depth **never**
+//!   [`NetConfig::inflight_per_connection`] requests still being served
+//!   has new ones shed with `Busy(Connection)`;
+//! * **global queue-depth watermark** — admitted requests still being
+//!   served across all connections are counted with a compare-and-swap
+//!   loop against [`NetConfig::queue_watermark`], so the depth **never**
 //!   exceeds the watermark (the `net_queue_depth_peak` gauge proves it);
 //!   excess load is shed with `Busy(Global)`.
+//!
+//! A request frees both slots once its reply is ready, before writing
+//! it, so a client that waits for each reply always finds them free.
+//! Reply writes are bounded on their own: a connection never has more
+//! than `inflight_per_connection` unfinished workers. At that many, its
+//! reader waits for the oldest to finish before it admits the next
+//! request, so a client that does not read its replies is pushed back by
+//! TCP instead of leaving one blocked thread per request.
 //!
 //! ## Durability
 //!
@@ -80,10 +88,11 @@ pub struct NetConfig {
     /// Connection-slot bound; connections beyond it are closed at
     /// accept time.
     pub max_connections: usize,
-    /// Unanswered requests one connection may have in flight before new
-    /// ones shed with `Busy(Connection)`.
+    /// Requests one connection may have in service before new ones shed
+    /// with `Busy(Connection)`; also the bound on the connection's
+    /// unfinished request workers.
     pub inflight_per_connection: u64,
-    /// Global bound on admitted-but-unanswered requests; beyond it new
+    /// Global bound on admitted requests still in service; beyond it new
     /// requests shed with `Busy(Global)`.
     pub queue_watermark: i64,
     /// Maximum accepted frame payload (a larger length prefix fails the
@@ -153,7 +162,7 @@ struct NetShared<E: QueryEngine> {
     client: ServeClient<E>,
     journal: Option<Arc<SessionJournal>>,
     counters: NetCounters,
-    /// Admitted-but-unanswered requests. The CAS loop in
+    /// Admitted requests still in service. The CAS loop in
     /// [`NetShared::try_admit_global`] enforces the watermark on it, and
     /// snapshots read it as `net_queue_depth`.
     depth: AtomicI64,
@@ -252,7 +261,7 @@ pub struct NetStats {
     pub shed_connection: u64,
     /// Requests shed by the global watermark.
     pub shed_global: u64,
-    /// Admitted-but-unanswered requests right now.
+    /// Admitted requests still in service right now.
     pub queue_depth: i64,
     /// The highest depth observed since start or the last reset —
     /// bounded by the watermark by construction.
@@ -648,15 +657,24 @@ fn handle_connection<E: QueryEngine>(shared: &Arc<NetShared<E>>, stream: TcpStre
 
         inflight.fetch_add(1, Ordering::Relaxed);
         shared.counters.requests.inc();
+        // Workers free their slots before writing, so the slots alone do
+        // not bound this connection's threads: wait for the oldest
+        // worker once there are as many as the budget.
         workers.retain(|h| !h.is_finished());
+        if workers.len() as u64 >= shared.inflight_budget {
+            let _ = workers.remove(0).join();
+        }
         let shared2 = Arc::clone(shared);
         let writer2 = Arc::clone(&writer);
         let inflight2 = Arc::clone(&inflight);
         workers.push(std::thread::spawn(move || {
             let resp = serve_request(&shared2, req);
-            send_response(&shared2, &writer2, &resp);
+            // Release the slots before the reply is written: a client
+            // that waits for each reply may send its next request the
+            // moment this one lands, and must find its slots free.
             inflight2.fetch_sub(1, Ordering::Relaxed);
             shared2.depth.fetch_sub(1, Ordering::Relaxed);
+            send_response(&shared2, &writer2, &resp);
         }));
     }
 

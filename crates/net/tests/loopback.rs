@@ -7,8 +7,8 @@
 //!    fail *that connection only*; the listener and every other
 //!    connection stay live;
 //! 3. **backpressure** — both admission bounds shed with explicit `Busy`
-//!    frames naming the bound, and the queue-depth peak never exceeds
-//!    the watermark;
+//!    frames naming the bound, the queue-depth peak never exceeds the
+//!    watermark, and a client that waits for each reply is never shed;
 //! 4. **graceful shutdown** — idempotent, and every admitted (queued)
 //!    request still receives its response;
 //! 5. **tracing** — each wire request records a `net_request` root span
@@ -24,7 +24,7 @@ use qkb_net::{BusyScope, NetClient, NetConfig, NetError, QkbNetServer};
 use qkb_qa::QaSystem;
 use qkb_serve::{QueryRequest, ServeConfig};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -273,6 +273,85 @@ fn global_watermark_sheds_and_depth_stays_bounded() {
         stats.queue_depth_peak
     );
     assert_eq!(stats.shed_global, shed);
+}
+
+/// A request's slots are free by the time its reply arrives: a client
+/// that waits for each reply before sending the next request is never
+/// shed, even at a per-connection budget and a global watermark of 1.
+#[test]
+fn sequential_requests_at_budget_one_are_never_shed() {
+    let mut config = net_config();
+    config.inflight_per_connection = 1;
+    config.queue_watermark = 1;
+    let server = QkbNetServer::start(engine(), config).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    for i in 0..2_000 {
+        if let Err(e) = client.stats_json() {
+            panic!("sequential request {i} was not answered: {e:?}");
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.shed_connection, stats.shed_global), (0, 0));
+}
+
+/// A request frees its slots before its reply is written, so the slots
+/// alone do not bound a connection's threads. A client that pipelines
+/// far more requests than the budget and never reads its replies must
+/// still find at most `budget` unfinished workers on its connection,
+/// and the server must stop reading from it (TCP then pushes back).
+#[test]
+fn a_client_that_never_reads_is_held_to_the_worker_budget() {
+    let config = net_config();
+    let budget = config.inflight_per_connection;
+    let server = QkbNetServer::start(engine(), config).unwrap();
+    let sock = TcpStream::connect(server.local_addr()).unwrap();
+
+    // Far more `Stats` replies than the socket buffers of both ends hold.
+    let n = 100_000u64;
+    let mut frames = Vec::new();
+    for id in 0..n {
+        let (kind, payload) = NetRequest::Stats { id }.encode();
+        frames.extend(frame::encode(kind, &payload));
+    }
+    let mut tx = sock.try_clone().unwrap();
+    // Blocks once the server stops reading; the shutdown below ends it.
+    let writer = std::thread::spawn(move || {
+        let _ = tx.write_all(&frames);
+    });
+
+    // A frame read but not yet answered is held by a live worker or by
+    // the reader itself, so the gap is at most `budget + 1`. (A snapshot
+    // reads its counters one by one and may see a reply before its
+    // request, hence the saturating difference.) Poll until the reader
+    // has stood still for half a second.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let (mut read, mut since) = (u64::MAX, std::time::Instant::now());
+    loop {
+        let stats = server.stats();
+        let unanswered = stats.frames_read.saturating_sub(stats.frames_written);
+        assert!(
+            unanswered <= budget + 1,
+            "{unanswered} frames read but unanswered; the budget is {budget}"
+        );
+        if stats.frames_read != read {
+            (read, since) = (stats.frames_read, std::time::Instant::now());
+        } else if since.elapsed() > Duration::from_millis(500) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the reader never stood still"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(read < n, "the server read all {n} frames without push-back");
+
+    // Closing with replies unread resets the connection, which fails the
+    // blocked writes and lets the connection's threads finish.
+    sock.shutdown(Shutdown::Both).unwrap();
+    writer.join().unwrap();
+    drop(sock);
+    drop(server);
 }
 
 #[test]

@@ -11,17 +11,14 @@
 //! * **request coalescing** — concurrent identical normalized queries
 //!   share one in-flight build (in-batch grouping plus a global in-flight
 //!   table across shards);
-//! * **three-tier cache** — a sharded bounded LRU fragment cache keyed
+//! * **two-tier cache** — a sharded bounded LRU fragment cache keyed
 //!   by the fingerprint of the query's retrieved-document set (exact-set
 //!   reuse), fronted by a byte-bounded per-document stage-1 cache
 //!   ([`Stage1Cache`]): queries whose retrieved sets merely *overlap*
 //!   build their fragment from memoized per-document artifacts
 //!   (`Qkbfly::provide_stage1` through the cache), re-running stage 1
-//!   only for never-seen documents; below both, a process-wide **component
-//!   resolve cache** ([`ComponentCache`]) memoizes solved coupling
-//!   components of the joint NED+CR problem, so even a *never-seen*
-//!   document skips the solver for components it shares with anything
-//!   resolved before (hit/miss/evict counters on all tiers);
+//!   only for never-seen documents (hit/miss/evict counters on both
+//!   tiers);
 //! * **admission batching** — a free shard takes every query queued
 //!   while the shards were busy (up to `batch_max`, without waiting for
 //!   more) and builds the distinct ones in one round: one
@@ -38,7 +35,7 @@
 //!   byte-budgeted, TTL-swept `qkb_session::SessionManager` shared by
 //!   all shards;
 //! * **one metrics registry** — every serving counter (requests, build
-//!   rounds, all three cache tiers, the session store, the prefix
+//!   rounds, both cache tiers, the session store, the prefix
 //!   forest) lives once, in [`ServeConfig::registry`], which the network
 //!   tier and its journal count into too; occupancy is read from the
 //!   live stores when a snapshot is taken. One
@@ -66,7 +63,6 @@
 //! (`tests/serving.rs` enforces this).
 
 pub mod cache;
-pub mod component_cache;
 pub mod engine;
 pub mod request;
 pub mod server;
@@ -75,7 +71,6 @@ pub mod stage1_cache;
 pub mod stats;
 
 pub use cache::{CacheCounters, FragmentCache};
-pub use component_cache::ComponentCache;
 pub use engine::QueryEngine;
 pub use qkb_session::{ForestConfig, SessionConfig, SessionStats};
 pub use request::{QueryKind, QueryRequest, QueryResponse, Served};

@@ -38,7 +38,6 @@
 //!   answer is byte-identical to a cold-build answer at any shard count.
 
 use crate::cache::FragmentCache;
-use crate::component_cache::ComponentCache;
 use crate::engine::QueryEngine;
 use crate::request::{QueryRequest, QueryResponse, Served};
 use crate::stage1_cache::Stage1Cache;
@@ -92,10 +91,6 @@ pub trait TurnLog: Send + Sync + 'static {
 
 /// Lock shards inside each cache tier.
 const LOCK_SHARDS: usize = 8;
-
-/// Capacity (approximate bytes) of the component resolve cache, which
-/// every shard and every session shares.
-const COMPONENT_CACHE_BYTES: u64 = 32 << 20;
 
 /// `QkbflyConfig::parallelism` of each shard's builds: shards already
 /// run in parallel, so one worker per build avoids oversubscribing cores.
@@ -368,7 +363,6 @@ struct Shared<E> {
     queue: AdmissionQueue,
     cache: FragmentCache,
     stage1: Stage1Cache,
-    component: Arc<ComponentCache>,
     inflight: InFlightTable,
     sessions: SessionManager,
     metrics: ServeMetrics,
@@ -376,14 +370,12 @@ struct Shared<E> {
 
 impl<E: QueryEngine> Shared<E> {
     /// A build handle configured like a worker shard's: private
-    /// parallelism knob, the server's recorder, and the process-wide
-    /// component resolve cache.
+    /// parallelism knob and the server's recorder.
     fn build_handle(&self) -> Qkbfly {
         self.engine
             .qkbfly()
             .with_parallelism(BUILD_PARALLELISM)
             .with_recorder(self.config.recorder.clone())
-            .with_resolve_cache(self.component.clone())
     }
 
     /// The one snapshot both [`QkbServer::stats`] and
@@ -393,7 +385,6 @@ impl<E: QueryEngine> Shared<E> {
         let gauges = [
             self.cache.gauges(),
             self.stage1.gauges(),
-            self.component.gauges(),
             self.sessions.gauges(),
         ];
         self.metrics
@@ -491,11 +482,6 @@ impl<E: QueryEngine> QkbServer<E> {
         let shared = Arc::new(Shared {
             cache: FragmentCache::new(config.cache_capacity, LOCK_SHARDS, registry),
             stage1: Stage1Cache::new(config.stage1_cache_bytes, LOCK_SHARDS, registry),
-            component: Arc::new(ComponentCache::new(
-                COMPONENT_CACHE_BYTES,
-                LOCK_SHARDS,
-                registry,
-            )),
             sessions: SessionManager::new(config.session, registry)
                 .with_recorder(config.recorder.clone()),
             engine: Arc::new(engine),
@@ -536,8 +522,8 @@ impl<E: QueryEngine> QkbServer<E> {
         self.shared.query_in_session(session_id, request)
     }
 
-    /// A stats snapshot (latency percentiles, throughput, all three
-    /// cache tiers' counters, session-store counters): the typed view of
+    /// A stats snapshot (latency percentiles, throughput, both cache
+    /// tiers' counters, session-store counters): the typed view of
     /// [`QkbServer::registry_snapshot`].
     pub fn stats(&self) -> ServeStats {
         self.stats_of(&self.shared.snapshot())
@@ -611,9 +597,9 @@ impl<E: QueryEngine> QkbServer<E> {
     /// Replays one journaled session turn: streams `texts` into the
     /// session's KB exactly as a live [`QkbServer::query_in_session`]
     /// turn would (same deterministic `extend_kb` fold, same shared
-    /// stage-1 and component caches), but without answering, without
-    /// re-notifying [`ServeConfig::turn_log`] (the record being replayed
-    /// already exists) and without touching the request metrics. Because
+    /// stage-1 cache), but without answering, without re-notifying
+    /// [`ServeConfig::turn_log`] (the record being replayed already
+    /// exists) and without touching the request metrics. Because
     /// extends are append-only and prefix-stable, replaying a journal's
     /// committed records in order reconstructs each session KB
     /// byte-identically to the uninterrupted run.
@@ -719,9 +705,6 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
     let config = &shared.config;
     // The shard's own build handle: cheap clone, shared repositories and
     // counters, private parallelism knob — no `&mut` on a shared handle.
-    // The process-wide component resolve cache rides inside: one instance
-    // across all shards and all session turns (every handle clones from
-    // the same system, so the cache's interned keys are valid everywhere).
     let qkb = shared.build_handle();
     let recorder = &config.recorder;
     loop {

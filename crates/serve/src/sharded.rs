@@ -1,10 +1,10 @@
-//! The sharded counted LRU machinery shared by all three cache tiers.
+//! The sharded counted LRU machinery shared by both cache tiers.
 //!
-//! [`crate::FragmentCache`] (entry-bounded), [`crate::Stage1Cache`] and
-//! [`crate::ComponentCache`] (both byte-bounded) are thin typed wrappers
-//! over this store: a [`qkb_util::LruCache`] split across independently
-//! locked shards, keyed by a 64-bit fingerprint. Its hit/miss/eviction
-//! counters are handles into the server's metrics registry, named
+//! [`crate::FragmentCache`] (entry-bounded) and [`crate::Stage1Cache`]
+//! (byte-bounded) are thin typed wrappers over this store: a
+//! [`qkb_util::LruCache`] split across independently locked shards,
+//! keyed by a 64-bit fingerprint. Its hit/miss/eviction counters are
+//! handles into the server's metrics registry, named
 //! `{name}_hits_total`, `{name}_misses_total` and
 //! `{name}_evictions_total`; its occupancy is read from the shards when
 //! a snapshot is taken ([`ShardedLru::gauges`]). Keeping the machinery

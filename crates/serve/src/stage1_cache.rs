@@ -30,16 +30,14 @@ use qkbfly::{DocStage1, Qkbfly, Stage1Provider};
 use std::sync::Arc;
 
 /// Metric-name prefix of the stage-1 tier.
-pub(crate) const NAME: &str = "serve_stage1_cache";
+const NAME: &str = "serve_stage1_cache";
 
-/// Counter snapshot of a byte-bounded cache tier: the stage-1 tier, and
-/// the component tier below it, which has the same shape.
+/// Counter snapshot of the byte-bounded stage-1 cache tier.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stage1Counters {
     /// Lookups served from cache.
     pub hits: u64,
-    /// Lookups that had to compute (for the component tier: including
-    /// exact re-check rejections).
+    /// Lookups that had to compute.
     pub misses: u64,
     /// Entries evicted by byte-capacity pressure.
     pub evictions: u64,
@@ -62,17 +60,16 @@ impl Stage1Counters {
         }
     }
 
-    /// The counters and occupancy gauges in `snap` of the byte-bounded
-    /// tier whose metric names start with `name`.
-    pub fn from_snapshot(snap: &RegistrySnapshot, name: &str) -> Self {
-        let [hits, misses, evictions] = lookup_counts(snap, name);
+    /// The stage-1 tier's counters and occupancy gauges in `snap`.
+    pub fn from_snapshot(snap: &RegistrySnapshot) -> Self {
+        let [hits, misses, evictions] = lookup_counts(snap, NAME);
         Self {
             hits,
             misses,
             evictions,
-            entries: occupancy_gauge(snap, name, "entries") as usize,
-            approx_bytes: occupancy_gauge(snap, name, "bytes"),
-            capacity_bytes: occupancy_gauge(snap, name, "capacity_bytes"),
+            entries: occupancy_gauge(snap, NAME, "entries") as usize,
+            approx_bytes: occupancy_gauge(snap, NAME, "bytes"),
+            capacity_bytes: occupancy_gauge(snap, NAME, "capacity_bytes"),
         }
     }
 }
@@ -173,7 +170,7 @@ mod tests {
     }
 
     fn counters(reg: &Registry, cache: &Stage1Cache) -> Stage1Counters {
-        Stage1Counters::from_snapshot(&reg.snapshot().with_gauges(cache.gauges()), NAME)
+        Stage1Counters::from_snapshot(&reg.snapshot().with_gauges(cache.gauges()))
     }
 
     #[test]

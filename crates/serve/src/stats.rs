@@ -1,6 +1,6 @@
 //! Serving metrics: every serving counter lives once, in the
 //! [`qkb_obs::Registry`] of `ServeConfig::registry`. The request path
-//! writes its own `serve_*` counters here; the three cache tiers, the
+//! writes its own `serve_*` counters here; the two cache tiers, the
 //! session store, the prefix forest, and under `qkb_net` the network
 //! tier and its journal take their handles from the same registry.
 //! Occupancy (entries, bytes, capacity, live sessions, frozen layers) is
@@ -14,7 +14,6 @@
 
 use crate::cache::CacheCounters;
 use crate::stage1_cache::Stage1Counters;
-use crate::{component_cache, stage1_cache};
 use qkb_obs::{Counter, Histogram, Registry, RegistrySnapshot};
 use qkb_session::SessionStats;
 use qkb_util::json::Value;
@@ -105,9 +104,6 @@ pub(crate) struct ServeMetrics {
     ilp_variables: Counter,
     bnb_nodes: Counter,
     pruned_candidates: Counter,
-    resolve_cache_hits: Counter,
-    resolve_cache_misses: Counter,
-    resolve_cache_bypass: Counter,
     /// Log-scale latency distribution for the text exposition; exact
     /// percentiles still come from the sample ring below.
     latency_hist: Histogram,
@@ -134,9 +130,6 @@ impl ServeMetrics {
             ilp_variables: registry.counter("serve_ilp_variables_total"),
             bnb_nodes: registry.counter("serve_bnb_nodes_total"),
             pruned_candidates: registry.counter("serve_pruned_candidates_total"),
-            resolve_cache_hits: registry.counter("serve_resolve_cache_hits_total"),
-            resolve_cache_misses: registry.counter("serve_resolve_cache_misses_total"),
-            resolve_cache_bypass: registry.counter("serve_resolve_cache_bypass_total"),
             latency_hist: registry.histogram("serve_request_latency_us"),
             registry: registry.clone(),
             started: Mutex::new(Instant::now()),
@@ -189,9 +182,6 @@ impl ServeMetrics {
         self.ilp_variables.add(resolve.ilp_variables);
         self.bnb_nodes.add(resolve.bnb_nodes);
         self.pruned_candidates.add(resolve.pruned_candidates);
-        self.resolve_cache_hits.add(resolve.cache_hits);
-        self.resolve_cache_misses.add(resolve.cache_misses);
-        self.resolve_cache_bypass.add(resolve.cache_bypass);
     }
 
     pub(crate) fn note_inflight_coalesced(&self) {
@@ -244,8 +234,8 @@ impl ServeMetrics {
             latency_samples,
             latency_samples_dropped,
             cache: CacheCounters::from_snapshot(snap),
-            stage1: Stage1Counters::from_snapshot(snap, stage1_cache::NAME),
-            component: Stage1Counters::from_snapshot(snap, component_cache::NAME),
+            stage1: Stage1Counters::from_snapshot(snap),
+            component: Stage1Counters::default(),
             sessions: SessionStats::from_snapshot(snap),
             batches: c("serve_batches_total"),
             build_rounds: c("serve_build_rounds_total"),
@@ -265,9 +255,6 @@ impl ServeMetrics {
                 ilp_variables: c("serve_ilp_variables_total"),
                 bnb_nodes: c("serve_bnb_nodes_total"),
                 pruned_candidates: c("serve_pruned_candidates_total"),
-                cache_hits: c("serve_resolve_cache_hits_total"),
-                cache_misses: c("serve_resolve_cache_misses_total"),
-                cache_bypass: c("serve_resolve_cache_bypass_total"),
             },
         }
     }
@@ -318,8 +305,9 @@ pub struct ServeStats {
     /// Per-document stage-1 cache counters (tier one: cross-query
     /// document reuse).
     pub stage1: Stage1Counters,
-    /// Component resolve-cache counters (the tier below stage 1:
-    /// cross-document coupling-component reuse in the NED+CR solver).
+    /// Always zero: there is no component resolve cache any more. Kept
+    /// only because `bench_e2e/src/run.rs` reads it (its `approx_bytes`
+    /// is a term of the `resident_mib` sum).
     pub component: Stage1Counters,
     /// Session-store counters (session-scoped streaming KBs:
     /// live/evicted sessions, extend-vs-cold turns, streaming dedup).
@@ -360,7 +348,9 @@ impl ServeStats {
         self.stage1.hit_rate()
     }
 
-    /// Component resolve-cache hit rate over all lookups.
+    /// Always 0.0: there is no component resolve cache any more. Kept
+    /// only because `bench_e2e/src/run.rs` reports it as
+    /// `serve.component_hit_rate`.
     pub fn component_hit_rate(&self) -> f64 {
         self.component.hit_rate()
     }
@@ -388,13 +378,6 @@ impl ServeStats {
             .with("stage1_bytes", self.stage1.approx_bytes)
             .with("stage1_capacity_bytes", self.stage1.capacity_bytes)
             .with("stage1_hit_rate", self.stage1_hit_rate())
-            .with("component_hits", self.component.hits)
-            .with("component_misses", self.component.misses)
-            .with("component_evictions", self.component.evictions)
-            .with("component_entries", self.component.entries)
-            .with("component_bytes", self.component.approx_bytes)
-            .with("component_capacity_bytes", self.component.capacity_bytes)
-            .with("component_hit_rate", self.component_hit_rate())
             .with("sessions", self.sessions.to_json())
             .with("batches", self.batches)
             .with("build_rounds", self.build_rounds)
@@ -454,7 +437,6 @@ mod tests {
         let gauges = [
             crate::FragmentCache::new(0, 1, reg).gauges(),
             crate::Stage1Cache::new(0, 1, reg).gauges(),
-            crate::ComponentCache::new(0, 1, reg).gauges(),
             qkb_session::SessionManager::new(Default::default(), reg).gauges(),
         ];
         metrics.stats(&reg.snapshot().with_gauges(gauges.concat()))

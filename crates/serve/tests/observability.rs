@@ -10,7 +10,7 @@
 //!    exactly one Prometheus series with the same value, and every
 //!    series line of the network tier's text follows a `# TYPE` line;
 //! 3. **reset audit** — `QkbServer::reset_stats` zeroes every counter and
-//!    histogram of the one registry — request path, all three cache
+//!    histogram of the one registry — request path, both cache
 //!    tiers, the session store and the forest — while every occupancy
 //!    gauge keeps its value and resident state survives, and
 //!    `QkbNetServer::reset_stats` does the same with the net and journal
@@ -253,10 +253,8 @@ fn traced_request_exports_a_well_formed_span_tree() {
         Some("miss"),
         "first sight of every document is a stage-1 miss"
     );
-    // Every per-component resolve span under the request root reports
-    // its component-cache outcome; with the tier enabled (the default)
-    // that is hit or miss, never bypass, and a cold server must miss at
-    // least once.
+    // Every per-component resolve span under the request root names its
+    // component and its mention count.
     let resolve_components: Vec<&Event> = tree
         .iter()
         .map(|&i| &events[i])
@@ -264,19 +262,14 @@ fn traced_request_exports_a_well_formed_span_tree() {
         .collect();
     assert!(!resolve_components.is_empty());
     for rc in &resolve_components {
-        let cache = rc.args.get("cache").and_then(Value::as_str);
-        assert!(
-            matches!(cache, Some("hit") | Some("miss")),
-            "resolve_component must report a cache outcome, got {:?}",
-            rc.args
-        );
+        for field in ["component", "mentions"] {
+            assert!(
+                rc.args.get(field).and_then(Value::as_f64).is_some(),
+                "resolve_component must report {field:?}, got {:?}",
+                rc.args
+            );
+        }
     }
-    assert!(
-        resolve_components
-            .iter()
-            .any(|rc| rc.args.get("cache").and_then(Value::as_str) == Some("miss")),
-        "a cold build must miss the component cache at least once"
-    );
 
     // The warm request never builds: its lookup reports the fragment
     // cache hit and no build spans hang under it.
@@ -443,7 +436,7 @@ fn forked_sessions_trace_the_freeze_and_fork_with_matching_fingerprints() {
 }
 
 /// `reset_stats` is one audited call: every counter and histogram of
-/// the one registry reads zero afterwards — the request path, all three
+/// the one registry reads zero afterwards — the request path, both
 /// cache tiers, the session store and the forest — while every
 /// occupancy gauge keeps its value and resident state (cached
 /// fragments, live sessions) survives.
@@ -466,7 +459,6 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
         "serve_fragment_cache_hits_total",
         "serve_fragment_cache_misses_total",
         "serve_stage1_cache_misses_total",
-        "serve_component_cache_misses_total",
         "serve_session_created_total",
         "serve_session_turns_cold_total",
         "serve_session_turns_extended_total",
@@ -477,11 +469,6 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
         assert!(busy.expect_counter(name) > 0, "traffic must reach {name}");
     }
     assert_eq!(busy.expect_counter("serve_requests_total"), 5);
-    let busy_stats = server.stats();
-    assert!(
-        busy_stats.component.hits + busy_stats.component.misses > 0,
-        "builds must reach the component resolve cache"
-    );
 
     server.reset_stats();
     let reset = server.registry_snapshot();
@@ -495,21 +482,24 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
         reset.gauges, busy.gauges,
         "occupancy is read from the stores and survives the reset"
     );
-    assert!(reset.expect_gauge("serve_component_cache_entries") > 0);
+    assert!(reset.expect_gauge("serve_stage1_cache_entries") > 0);
     assert_eq!(reset.expect_gauge("serve_session_live"), 2);
     let stats = server.stats();
     assert_eq!(stats.requests, 0);
     assert_eq!(stats.latency_samples, 0);
     assert_eq!(stats.cache.hits + stats.cache.misses, 0);
-    assert_eq!(stats.stage1.hits + stats.stage1.misses, 0);
     assert_eq!(
-        stats.component.hits + stats.component.misses + stats.component.evictions,
-        0,
-        "reset must zero the component-cache counters"
+        (
+            stats.stage1.hits,
+            stats.stage1.misses,
+            stats.stage1.evictions
+        ),
+        (0, 0, 0),
+        "reset must zero the stage-1 cache counters"
     );
     assert!(
-        stats.component.entries > 0,
-        "reset must not evict cached components"
+        stats.stage1.entries > 0,
+        "reset must not evict cached stage-1 artifacts"
     );
     assert_eq!(stats.sessions.turns(), 0);
     assert_eq!(stats.to_json()["latency_samples"], 0u64);
@@ -540,18 +530,6 @@ const SERIES: &[(&str, &str)] = &[
     ("stage1_entries", "serve_stage1_cache_entries"),
     ("stage1_bytes", "serve_stage1_cache_bytes"),
     ("stage1_capacity_bytes", "serve_stage1_cache_capacity_bytes"),
-    ("component_hits", "serve_component_cache_hits_total"),
-    ("component_misses", "serve_component_cache_misses_total"),
-    (
-        "component_evictions",
-        "serve_component_cache_evictions_total",
-    ),
-    ("component_entries", "serve_component_cache_entries"),
-    ("component_bytes", "serve_component_cache_bytes"),
-    (
-        "component_capacity_bytes",
-        "serve_component_cache_capacity_bytes",
-    ),
     ("sessions.live", "serve_session_live"),
     ("sessions.approx_bytes", "serve_session_bytes"),
     ("sessions.capacity_bytes", "serve_session_capacity_bytes"),
@@ -608,18 +586,6 @@ const SERIES: &[(&str, &str)] = &[
         "resolve_counters.pruned_candidates",
         "serve_pruned_candidates_total",
     ),
-    (
-        "resolve_counters.cache_hits",
-        "serve_resolve_cache_hits_total",
-    ),
-    (
-        "resolve_counters.cache_misses",
-        "serve_resolve_cache_misses_total",
-    ),
-    (
-        "resolve_counters.cache_bypass",
-        "serve_resolve_cache_bypass_total",
-    ),
 ];
 
 const EXEMPT: &[&str] = &[
@@ -632,7 +598,6 @@ const EXEMPT: &[&str] = &[
     "latency_samples_dropped",
     "cache_hit_rate",
     "stage1_hit_rate",
-    "component_hit_rate",
     "sessions.dedup_rate",
     "build_timings.total_us",
 ];
@@ -656,17 +621,8 @@ const EXPORTED_BEFORE: &[&str] = &[
     "serve_ilp_variables_total",
     "serve_bnb_nodes_total",
     "serve_pruned_candidates_total",
-    "serve_resolve_cache_hits_total",
-    "serve_resolve_cache_misses_total",
-    "serve_resolve_cache_bypass_total",
     "serve_forest_forks_total",
     "serve_request_latency_us",
-    "serve_component_cache_hits_total",
-    "serve_component_cache_misses_total",
-    "serve_component_cache_evictions_total",
-    "serve_component_cache_entries",
-    "serve_component_cache_bytes",
-    "serve_component_cache_capacity_bytes",
     "serve_forest_freezes_total",
     "serve_forest_evicted_total",
     "serve_forest_frozen_layers",
@@ -802,8 +758,9 @@ fn net_server(sys: &Arc<QaSystem>, dir: &Path) -> QkbNetServer<Arc<QaSystem>> {
 }
 
 /// A one-shot query and a turn of session `session` over the wire, then
-/// waits until the last request has released its queue slot, the final
-/// step of a request, so no counter moves afterwards.
+/// waits until every frame read has its reply counted as written. That
+/// count moves after the reply is on the wire, the final step of a
+/// request, so no counter moves afterwards.
 fn drive_the_wire(server: &QkbNetServer<Arc<QaSystem>>, q: &str, session: &str) {
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.query(QueryRequest::question(q)).expect("query");
@@ -811,7 +768,11 @@ fn drive_the_wire(server: &QkbNetServer<Arc<QaSystem>>, q: &str, session: &str) 
         .query_in_session(session, QueryRequest::question(q))
         .expect("session turn");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().queue_depth != 0 {
+    loop {
+        let stats = server.stats();
+        if stats.frames_written >= stats.frames_read {
+            break;
+        }
         assert!(Instant::now() < deadline, "requests never finished");
         std::thread::sleep(Duration::from_millis(2));
     }

@@ -100,15 +100,6 @@ fn main() {
         s.stage1_hit_rate() * 100.0
     );
     println!(
-        "component cache: {} hits / {} misses, {} components ~{} KiB (hit rate {:.0}%) — \
-         overlapping documents skip the solver",
-        s.component.hits,
-        s.component.misses,
-        s.component.entries,
-        s.component.approx_bytes / 1024,
-        s.component_hit_rate() * 100.0
-    );
-    println!(
         "builds: {} cold + {} assembled in {} grouped rounds, {} docs; \
          coalesced: {} in-batch, {} in-flight",
         s.cold_builds,

@@ -78,8 +78,7 @@ fn main() {
     let s = &stats.sessions;
     println!(
         "sessions: {} live / {} created ({} evicted) | turns: {} cold + {} extended | \
-         docs: {} merged, {} deduped ({:.0}% dedup) | stage-1 hit rate {:.0}% | \
-         component-cache hit rate {:.0}%",
+         docs: {} merged, {} deduped ({:.0}% dedup) | stage-1 hit rate {:.0}%",
         s.live,
         s.created,
         s.evicted_ttl + s.evicted_pressure,
@@ -88,8 +87,7 @@ fn main() {
         s.docs_merged,
         s.docs_deduped,
         s.dedup_rate() * 100.0,
-        stats.stage1_hit_rate() * 100.0,
-        stats.component_hit_rate() * 100.0
+        stats.stage1_hit_rate() * 100.0
     );
     server.shutdown();
 }
