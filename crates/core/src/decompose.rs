@@ -318,7 +318,7 @@ mod tests {
                 let got = &out.resolutions[node];
                 assert_eq!(got.entity, res.entity, "entity @ {node:?} w={workers}");
                 assert_eq!(got.antecedent, res.antecedent);
-                assert!((got.confidence - res.confidence).abs() < 1e-15);
+                assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
             }
         }
     }
@@ -351,7 +351,7 @@ mod tests {
                 let got = &out.resolutions[node];
                 assert_eq!(got.entity, res.entity, "entity @ {node:?} w={workers}");
                 assert_eq!(got.antecedent, res.antecedent);
-                assert!((got.confidence - res.confidence).abs() < 1e-15);
+                assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
             }
             assert!(out.optimal);
             assert!(out.n_variables <= base.n_variables);
@@ -388,7 +388,7 @@ mod tests {
             for (node, res) in &base.resolutions {
                 let got = &pruned.resolutions[node];
                 assert_eq!(got.entity, res.entity, "support changed @ {node:?}");
-                assert!((got.confidence - res.confidence).abs() < 1e-15);
+                assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
             }
         }
     }

@@ -14,7 +14,13 @@
 //!
 //! Edge-weight recomputation after each removal is *selective and
 //! incremental*: only relation edges incident to the affected group's
-//! members (and to pronouns targeting it) are rescored.
+//! members (and to pronouns targeting it) are rescored. The lazy loop
+//! (`densify_deferred` with `lazy`) also keeps each rescoring cheap: a
+//! relation edge's `pair_weight` terms are computed once per solve and
+//! read back from a memo, and the affected terms' sum before a removal is
+//! computed once per group or pronoun, not once per candidate. Both keep
+//! every addition in the naive loop's order, so the output is the same
+//! to the bit.
 
 use crate::graph::{GraphEdgeId, NodeId, NodeKind, SemanticGraph};
 use crate::weights::WeightModel;
@@ -98,6 +104,9 @@ struct Engine<'a> {
     refs: Vec<MentionRef>,
     rels: Vec<RelEdge>,
     rels_of: FxHashMap<NodeId, Vec<usize>>,
+    /// `pair_weight` per (relation edge, a, b), filled on first read.
+    /// `Some` only on the lazy path; the naive loop recomputes every term.
+    pair_memo: Option<FxHashMap<(usize, EntityId, EntityId), f64>>,
     removed: usize,
     kills: Vec<GraphEdgeId>,
 }
@@ -123,10 +132,12 @@ pub fn densify(
 /// that component's slice of the full run — see `decompose`.
 ///
 /// With `lazy` set the greedy loop memoizes removal contributions and
-/// re-scores only the entries a removal could have changed; the removal
-/// sequence (and therefore the output) is identical to the naive loop —
-/// see [`Engine::run_lazy`]. The naive loop is kept as the reference
-/// implementation and serves as the benchmark baseline.
+/// re-scores only the entries a removal could have changed, reading each
+/// `pair_weight` term from a memo that lives as long as this call; the
+/// removal sequence (and therefore the output, bit for bit) is identical
+/// to the naive loop — see [`Engine::run_lazy`]. The naive loop, which
+/// recomputes every term, is kept as the reference implementation and
+/// serves as the benchmark baseline.
 pub(crate) fn densify_deferred(
     graph: &SemanticGraph,
     mentions: &[NodeId],
@@ -350,6 +361,7 @@ impl<'a> Engine<'a> {
             refs,
             rels,
             rels_of,
+            pair_memo: None,
             removed: 0,
             kills,
         }
@@ -381,7 +393,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Weight of relation edge `idx` under the current candidate sets.
-    fn rel_weight(&self, idx: usize) -> f64 {
+    ///
+    /// With the memo on, each pair term is read from `pair_memo` and the
+    /// terms are added in [`WeightModel::relation_weight`]'s order (`ca`
+    /// outer, `cb` inner, from `0.0`): `pair_weight` is a pure function
+    /// of (a, b, pattern), so the sum is the same bits either way.
+    fn rel_weight(&mut self, idx: usize) -> f64 {
         let r = &self.rels[idx];
         let ca = self.cand_set(r.a);
         if ca.is_empty() {
@@ -391,8 +408,24 @@ impl<'a> Engine<'a> {
         if cb.is_empty() {
             return 0.0;
         }
-        self.model
-            .relation_weight(self.stats, self.repo, &ca, &cb, &r.pattern)
+        let (model, stats, repo) = (self.model, self.stats, self.repo);
+        let Some(memo) = self.pair_memo.as_mut() else {
+            return model.relation_weight(stats, repo, &ca, &cb, &r.pattern);
+        };
+        let mut w = 0.0;
+        for &a in &ca {
+            for &b in &cb {
+                w += *memo
+                    .entry((idx, a, b))
+                    .or_insert_with(|| model.pair_weight(stats, repo, a, b, &r.pattern));
+            }
+        }
+        w
+    }
+
+    /// Sum of the current weights of relation edges `affected`, in order.
+    fn rel_sum(&mut self, affected: &[usize]) -> f64 {
+        affected.iter().map(|&r| self.rel_weight(r)).sum()
     }
 
     /// Relation edges whose weight depends on group `gid` (incident to a
@@ -418,25 +451,45 @@ impl<'a> Engine<'a> {
 
     /// Contribution of removing candidate `ci` from group `gid`:
     /// `c(x, y, S) = W(S) − W(S′)` restricted to the affected terms
-    /// (selective recomputation).
-    fn group_removal_contribution(&mut self, gid: usize, ci: usize) -> f64 {
-        let affected = self.rels_touching_group(gid);
-        let before: f64 = affected.iter().map(|&r| self.rel_weight(r)).sum();
+    /// (selective recomputation). `affected` is `rels_touching_group(gid)`
+    /// and `before` its [`Engine::rel_sum`] in the current state; the call
+    /// restores the one flag it clears, so one pair serves every candidate
+    /// of the group.
+    fn group_removal_contribution(
+        &mut self,
+        gid: usize,
+        ci: usize,
+        affected: &[usize],
+        before: f64,
+    ) -> f64 {
         self.groups[gid].cands[ci].alive = false;
-        let after: f64 = affected.iter().map(|&r| self.rel_weight(r)).sum();
+        let after = self.rel_sum(affected);
         self.groups[gid].cands[ci].alive = true;
         self.groups[gid].cands[ci].weight + (before - after)
     }
 
-    /// Contribution of removing pronoun `pid`'s target `ti`.
-    fn pron_removal_contribution(&mut self, pid: usize, ti: usize) -> f64 {
-        let node = self.pronouns[pid].node;
-        let affected = self.rels_of.get(&node).cloned().unwrap_or_default();
-        let before: f64 = affected.iter().map(|&r| self.rel_weight(r)).sum();
+    /// Contribution of removing pronoun `pid`'s target `ti`; `affected`
+    /// is the pronoun's `rels_of` and `before` its [`Engine::rel_sum`].
+    /// As for a group, one pair serves every target of the pronoun.
+    fn pron_removal_contribution(
+        &mut self,
+        pid: usize,
+        ti: usize,
+        affected: &[usize],
+        before: f64,
+    ) -> f64 {
         self.pronouns[pid].targets[ti].alive = false;
-        let after: f64 = affected.iter().map(|&r| self.rel_weight(r)).sum();
+        let after = self.rel_sum(affected);
         self.pronouns[pid].targets[ti].alive = true;
         before - after
+    }
+
+    /// Relation edges incident to pronoun `pid`.
+    fn rels_of_pronoun(&self, pid: usize) -> Vec<usize> {
+        self.rels_of
+            .get(&self.pronouns[pid].node)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// The greedy loop: remove the cheapest violating edge until the
@@ -454,7 +507,9 @@ impl<'a> Engine<'a> {
                     if !self.groups[gid].cands[ci].alive {
                         continue;
                     }
-                    let c = self.group_removal_contribution(gid, ci);
+                    let affected = self.rels_touching_group(gid);
+                    let before = self.rel_sum(&affected);
+                    let c = self.group_removal_contribution(gid, ci, &affected, before);
                     if best.as_ref().is_none_or(|(b, _)| c < *b) {
                         best = Some((c, Removal::GroupCand(gid, ci)));
                     }
@@ -473,7 +528,9 @@ impl<'a> Engine<'a> {
                     if !self.pronouns[pid].targets[ti].alive {
                         continue;
                     }
-                    let mut c = self.pron_removal_contribution(pid, ti);
+                    let affected = self.rels_of_pronoun(pid);
+                    let before = self.rel_sum(&affected);
+                    let mut c = self.pron_removal_contribution(pid, ti, &affected, before);
                     // Recency tie-break: prefer keeping nearer antecedents
                     // by making farther targets marginally cheaper to drop.
                     let tgroup = self.pronouns[pid].targets[ti].group;
@@ -525,7 +582,18 @@ impl<'a> Engine<'a> {
     /// cache stays exact. This turns the per-iteration full rescan into
     /// a neighborhood rescan — the asymptotic win that makes the
     /// decomposed resolve path fast on large coupling components.
+    ///
+    /// Each rescoring is cheaper too, and still exact:
+    /// * `pair_memo` is switched on, so every `pair_weight` term of a
+    ///   relation edge is computed once per engine and then read back;
+    ///   [`Engine::rel_weight`] adds the memoized terms in the order the
+    ///   naive loop adds the computed ones.
+    /// * A slot refill computes the affected edges and their `before` sum
+    ///   once, not once per candidate/target: each contribution restores
+    ///   the one alive flag it clears, so `before` reads the same state
+    ///   (and gets the same bits) for all of them.
     fn run_lazy(&mut self) {
+        self.pair_memo = Some(FxHashMap::default());
         let mut group_cache: Vec<Option<Vec<f64>>> = vec![None; self.groups.len()];
         let mut pron_cache: Vec<Option<Vec<f64>>> = vec![None; self.pronouns.len()];
         loop {
@@ -536,10 +604,12 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 if slot.is_none() {
+                    let affected = self.rels_touching_group(gid);
+                    let before = self.rel_sum(&affected);
                     let mut vals = vec![f64::INFINITY; self.groups[gid].cands.len()];
                     for (ci, v) in vals.iter_mut().enumerate() {
                         if self.groups[gid].cands[ci].alive {
-                            *v = self.group_removal_contribution(gid, ci);
+                            *v = self.group_removal_contribution(gid, ci, &affected, before);
                         }
                     }
                     *slot = Some(vals);
@@ -564,12 +634,14 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 if slot.is_none() {
+                    let affected = self.rels_of_pronoun(pid);
+                    let before = self.rel_sum(&affected);
                     let mut vals = vec![f64::INFINITY; self.pronouns[pid].targets.len()];
                     for (ti, v) in vals.iter_mut().enumerate() {
                         if !self.pronouns[pid].targets[ti].alive {
                             continue;
                         }
-                        let mut c = self.pron_removal_contribution(pid, ti);
+                        let mut c = self.pron_removal_contribution(pid, ti, &affected, before);
                         // Same recency tie-break as `run` (static inputs,
                         // safe to cache).
                         let tgroup = self.pronouns[pid].targets[ti].group;
@@ -613,11 +685,7 @@ impl<'a> Engine<'a> {
                     // Only the pronoun's own candidate set changes, so
                     // only its incident rel weights can move (sorted:
                     // `rels_of` is filled in ascending edge order).
-                    let changed = self
-                        .rels_of
-                        .get(&self.pronouns[pid].node)
-                        .cloned()
-                        .unwrap_or_default();
+                    let changed = self.rels_of_pronoun(pid);
                     let tgroup = self.pronouns[pid].targets[ti].group;
                     self.pronouns[pid].targets[ti].alive = false;
                     let e = self.pronouns[pid].targets[ti].edge;
@@ -669,7 +737,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Final objective value.
-    fn objective(&self) -> f64 {
+    fn objective(&mut self) -> f64 {
         let means: f64 = self
             .groups
             .iter()
@@ -704,7 +772,7 @@ impl<'a> Engine<'a> {
                 c.alive = i == ci;
             }
             let affected = self.rels_touching_group(gid);
-            let rel_sum: f64 = affected.iter().map(|&r| self.rel_weight(r)).sum();
+            let rel_sum = self.rel_sum(&affected);
             let contrib = self.groups[gid].cands[ci].weight + rel_sum;
             contributions.push(contrib.max(0.0));
             if ci == chosen {
@@ -886,7 +954,11 @@ pub fn resolve_pronouns_by_recency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_graph, BuildConfig};
+    use crate::build::{build_graph, BuildConfig, BuiltGraph};
+    use crate::decompose::decompose;
+    use qkb_corpus::background::{background_corpus, build_stats};
+    use qkb_corpus::docgen::{news_corpus, wiki_corpus};
+    use qkb_corpus::world::{World, WorldConfig};
     use qkb_kb::StatsBuilder;
     use qkb_nlp::Pipeline;
     use qkb_openie::ClausIe;
@@ -929,17 +1001,21 @@ mod tests {
         (repo, b.finalize())
     }
 
-    fn run(
-        text: &str,
-        repo: &EntityRepository,
-        stats: &BackgroundStats,
-    ) -> (crate::build::BuiltGraph, DensifyOutcome) {
+    fn build(text: &str, repo: &EntityRepository, stats: &BackgroundStats) -> BuiltGraph {
         let pipeline = Pipeline::with_gazetteer(repo.gazetteer());
         let doc = pipeline.annotate(text);
         let clausie = ClausIe::new();
         let clauses: Vec<Vec<qkb_openie::Clause>> =
             doc.sentences.iter().map(|s| clausie.detect(s)).collect();
-        let mut built = build_graph(&doc, &clauses, repo, stats, BuildConfig::default());
+        build_graph(&doc, &clauses, repo, stats, BuildConfig::default())
+    }
+
+    fn run(
+        text: &str,
+        repo: &EntityRepository,
+        stats: &BackgroundStats,
+    ) -> (BuiltGraph, DensifyOutcome) {
+        let mut built = build(text, repo, stats);
         let model = WeightModel::default();
         let mentions = built.mentions.clone();
         let outcome = densify(&mut built.graph, &mentions, &model, stats, repo);
@@ -1064,51 +1140,104 @@ mod tests {
         );
     }
 
+    /// The memoized loop must reproduce the naive loop exactly on
+    /// `mentions`: same kills in the same order, same objective, same
+    /// resolutions bit for bit.
+    fn assert_lazy_matches_naive(
+        built: &BuiltGraph,
+        mentions: &[NodeId],
+        repo: &EntityRepository,
+        stats: &BackgroundStats,
+        what: &str,
+    ) {
+        let model = WeightModel::default();
+        let (naive, naive_kills) =
+            densify_deferred(&built.graph, mentions, &model, stats, repo, false);
+        let (lazy, lazy_kills) =
+            densify_deferred(&built.graph, mentions, &model, stats, repo, true);
+        assert_eq!(lazy_kills, naive_kills, "kill sequence diverged: {what}");
+        assert_eq!(lazy.removed_edges, naive.removed_edges, "{what}");
+        assert_eq!(
+            lazy.objective.to_bits(),
+            naive.objective.to_bits(),
+            "{what}"
+        );
+        assert_eq!(lazy.resolutions.len(), naive.resolutions.len(), "{what}");
+        for (node, res) in &naive.resolutions {
+            let got = &lazy.resolutions[node];
+            assert_eq!(got.entity, res.entity, "{what} @ {node:?}");
+            assert_eq!(got.antecedent, res.antecedent, "{what} @ {node:?}");
+            assert_eq!(
+                got.confidence.to_bits(),
+                res.confidence.to_bits(),
+                "{what} @ {node:?}"
+            );
+        }
+    }
+
     #[test]
     fn lazy_run_matches_naive_run_exactly() {
         let (repo, stats) = fixture();
-        let model = WeightModel::default();
         for text in [
             "Marcus Keller plays for Liverpool.",
             "Marcus Keller plays for Liverpool. He scored twice.",
             "Marcus Keller plays for Liverpool. He scored against Ashford United. \
              Keller joined Liverpool in 2014. Liverpool is a large city.",
         ] {
-            let pipeline = Pipeline::with_gazetteer(repo.gazetteer());
-            let doc = pipeline.annotate(text);
-            let clausie = ClausIe::new();
-            let clauses: Vec<Vec<qkb_openie::Clause>> =
-                doc.sentences.iter().map(|s| clausie.detect(s)).collect();
-            let built = build_graph(&doc, &clauses, &repo, &stats, BuildConfig::default());
-            let (naive, naive_kills) =
-                densify_deferred(&built.graph, &built.mentions, &model, &stats, &repo, false);
-            let (lazy, lazy_kills) =
-                densify_deferred(&built.graph, &built.mentions, &model, &stats, &repo, true);
-            // The memoized loop must reproduce the naive loop exactly:
-            // same kills in the same order, same objective, same
-            // resolutions bit-for-bit.
-            assert_eq!(lazy_kills, naive_kills, "kill sequence diverged: {text}");
-            assert_eq!(lazy.removed_edges, naive.removed_edges);
-            assert_eq!(lazy.objective.to_bits(), naive.objective.to_bits());
-            assert_eq!(lazy.resolutions.len(), naive.resolutions.len());
-            for (node, res) in &naive.resolutions {
-                let got = &lazy.resolutions[node];
-                assert_eq!(got.entity, res.entity);
-                assert_eq!(got.antecedent, res.antecedent);
-                assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
+            let built = build(text, &repo, &stats);
+            assert_lazy_matches_naive(&built, &built.mentions, &repo, &stats, text);
+        }
+
+        // Corpus scale, over the world and stats `tests/parallel.rs`
+        // builds: wiki pages joined 8 to a document as `bench_resolve`
+        // joins them, then news documents. Each whole document and each
+        // of its coupling components is compared.
+        let world = World::generate(WorldConfig::default());
+        let stats = build_stats(&world, &background_corpus(&world, 10, 5));
+        let repo = &world.repo;
+        let wiki = wiki_corpus(&world, 20 * 8, 4242);
+        let news = news_corpus(&world, 120, 977);
+        let docs = wiki
+            .docs
+            .chunks(8)
+            .map(|pages| {
+                pages
+                    .iter()
+                    .map(|d| d.text.as_str())
+                    .collect::<Vec<_>>()
+                    .join("\n\n")
+            })
+            .chain(news.docs.iter().map(|d| d.text.clone()));
+        let (mut most_means, mut most_targets) = (0, 0);
+        for (i, text) in docs.enumerate() {
+            let built = build(&text, repo, &stats);
+            let g = &built.graph;
+            assert_lazy_matches_naive(&built, &built.mentions, repo, &stats, &format!("doc {i}"));
+            for (c, comp) in decompose(g, &built.mentions).iter().enumerate() {
+                let means: usize = comp.iter().map(|&m| g.means_of(m).len()).sum();
+                most_means = most_means.max(means);
+                let what = format!("doc {i} component {c}");
+                assert_lazy_matches_naive(&built, comp, repo, &stats, &what);
+            }
+            for &m in &built.mentions {
+                if matches!(g.node(m), NodeKind::Pronoun { .. }) {
+                    most_targets = most_targets.max(g.same_as_of(m).len());
+                }
             }
         }
+        // The inputs must keep exercising large components and real
+        // antecedent choices.
+        assert!(
+            most_means >= 100,
+            "largest component has {most_means} means edges"
+        );
+        assert!(most_targets >= 2, "no pronoun has two sameAs targets");
     }
 
     #[test]
     fn independent_resolution_ignores_context() {
         let (repo, stats) = fixture();
-        let pipeline = Pipeline::with_gazetteer(repo.gazetteer());
-        let doc = pipeline.annotate("Marcus Keller plays for Liverpool.");
-        let clausie = ClausIe::new();
-        let clauses: Vec<Vec<qkb_openie::Clause>> =
-            doc.sentences.iter().map(|s| clausie.detect(s)).collect();
-        let built = build_graph(&doc, &clauses, &repo, &stats, BuildConfig::default());
+        let built = build("Marcus Keller plays for Liverpool.", &repo, &stats);
         let model = WeightModel {
             use_type_signatures: false,
             ..Default::default()

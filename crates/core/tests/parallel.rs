@@ -49,7 +49,7 @@ fn fingerprint(sys: &Qkbfly, result: &BuildResult<'_>) -> String {
     }
     for l in &result.links {
         s.push_str(&format!(
-            "link doc={} sent={} phrase={:?} entity={:?} conf={:.6}\n",
+            "link doc={} sent={} phrase={:?} entity={:?} conf={:?}\n",
             l.doc, l.sentence, l.phrase, l.entity, l.confidence
         ));
     }
