@@ -25,46 +25,64 @@
 //! in the journal therefore equals merge order into each session KB, and
 //! replaying records in file order reproduces every session exactly.
 //!
+//! The session store reports every TTL or pressure eviction through the
+//! same hook as an *eviction record*, under the store's lock, and a turn
+//! that commits on a slot evicted while it ran is not journaled at all
+//! (the two rules are spelled out on [`qkb_serve::TurnLog`]). Replay
+//! applies an eviction record as a drop, so an evicted session stays
+//! evicted after a crash.
+//!
 //! ## Segments, snapshots and truncation
 //!
-//! Appends go to `seg-N.qkj` files, rotated at a size threshold. A
-//! *snapshot* (`snap-N.qkj`) rewrites the compacted history — for every
-//! session journaled so far, evicted ones included (the journal is not
-//! told of evictions), only the records since its last cold turn — via
-//! tmp-file + rename, after which all older segments and snapshots are
-//! deleted. Recovery reads the newest intact snapshot plus every segment
-//! numbered above it; a torn tail (truncated or checksum-failing record)
-//! ends that file's replay and is counted, never decoded.
+//! Appends go to `seg-N.qkj` files, rotated at a size threshold. The
+//! journal keeps its compacted history per live session: the records
+//! since the session's last cold turn. A cold record restarts one
+//! session's history and an eviction record drops it, each in O(1). A
+//! *snapshot* (`snap-N.qkj`) writes that history — the live sessions'
+//! records only, in append order — via tmp-file + rename, after which
+//! all older segments and snapshots are deleted. Recovery reads the
+//! newest intact snapshot plus every segment numbered above it; a torn
+//! tail (truncated or checksum-failing record) ends that file's replay
+//! and is counted, never decoded.
 //!
-//! A *cold* record (the session's KB was empty before the turn) resets
-//! that session's replayable history: after eviction and re-creation
-//! under the same id, only the suffix from the latest cold turn is
-//! replayed, which is exactly the content of the live session.
+//! The writer never appends at or below the newest snapshot: a snapshot
+//! opens its fresh segment before it publishes itself. The journal
+//! directory is fsynced after a segment is created and after a
+//! snapshot's rename, before any file is deleted.
 
 use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_BYTES};
 use qkb_obs::{Counter, Registry, RegistrySnapshot};
 use qkb_serve::{LoggedTurn, TurnLog};
 use qkb_util::bytes::{self, Cursor};
 use qkb_util::json::Value;
-use std::collections::HashSet;
+use qkb_util::FxHashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Journal frame kind: one committed session turn.
+/// Journal frame kind: one committed session turn or one eviction.
 const REC_TURN: u8 = 1;
 
-/// One durable session turn: everything needed to re-run it.
+/// Flag bits of a record's flags byte.
+const FLAG_COLD: u8 = 1;
+const FLAG_EVICTED: u8 = 2;
+
+/// One durable session turn: everything needed to re-run it. Or, with
+/// `evicted` set, one session eviction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TurnRecord {
-    /// The session the turn extended.
+    /// The session the turn extended, or the store evicted.
     pub session_id: String,
-    /// The session's turn sequence number after this turn (1-based).
+    /// The session's turn sequence number after this turn (1-based; 0 in
+    /// an eviction record).
     pub turn: u64,
     /// True when the session KB was empty before this turn — replay of
     /// this session starts here, discarding any earlier records.
     pub cold: bool,
+    /// True for an eviction record: the store dropped the session, and
+    /// replay drops its history. Such a record has no documents.
+    pub evicted: bool,
     /// Corpus ids of the documents retrieved for the turn, in the order
     /// they were streamed into the KB.
     pub doc_ids: Vec<u64>,
@@ -74,11 +92,25 @@ pub struct TurnRecord {
 }
 
 impl TurnRecord {
+    /// The eviction record of `session_id`.
+    pub fn eviction(session_id: impl Into<String>) -> Self {
+        Self {
+            session_id: session_id.into(),
+            turn: 0,
+            cold: false,
+            evicted: true,
+            doc_ids: Vec::new(),
+            docs_fingerprint: 0,
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         bytes::put_str(&mut buf, &self.session_id);
         bytes::put_u64(&mut buf, self.turn);
-        bytes::put_u8(&mut buf, self.cold as u8);
+        let flags =
+            if self.cold { FLAG_COLD } else { 0 } | if self.evicted { FLAG_EVICTED } else { 0 };
+        bytes::put_u8(&mut buf, flags);
         bytes::put_u64(&mut buf, self.docs_fingerprint);
         bytes::put_u32(&mut buf, self.doc_ids.len() as u32);
         for &id in &self.doc_ids {
@@ -91,7 +123,7 @@ impl TurnRecord {
         let mut c = Cursor::new(payload, max_len);
         let session_id = c.str()?;
         let turn = c.u64()?;
-        let cold = c.u8()? != 0;
+        let flags = c.u8()?;
         let docs_fingerprint = c.u64()?;
         let n = c.u32()? as usize;
         if n > max_len {
@@ -108,7 +140,8 @@ impl TurnRecord {
         Ok(TurnRecord {
             session_id,
             turn,
-            cold,
+            cold: flags & FLAG_COLD != 0,
+            evicted: flags & FLAG_EVICTED != 0,
             doc_ids,
             docs_fingerprint,
         })
@@ -124,13 +157,15 @@ pub struct JournalConfig {
     /// Rotate to a fresh segment once the current one exceeds this many
     /// bytes.
     pub segment_max_bytes: u64,
-    /// Write a snapshot (and truncate older files) every this many
-    /// appends; `0` disables automatic snapshots (explicit
-    /// [`SessionJournal::snapshot_retaining`] still works).
+    /// Write a snapshot (and truncate older files) every this many turn
+    /// records; `0` disables snapshots. Eviction records do not count:
+    /// replaying one costs a map removal, not an extend.
     pub snapshot_every: u64,
-    /// `fsync` the segment after every append. Turning this off trades
-    /// the tail of the log on power loss for throughput; process crashes
-    /// still lose nothing once the OS has the bytes.
+    /// `fsync` the segment after every turn record. Turning this off
+    /// trades the tail of the log on power loss for throughput; process
+    /// crashes still lose nothing once the OS has the bytes. Eviction
+    /// records are never fsynced on their own: the next turn record's
+    /// fsync, or the seal of their segment, covers them.
     pub fsync: bool,
     /// Maximum record payload accepted when reading files back.
     pub max_record_bytes: u32,
@@ -153,8 +188,8 @@ impl JournalConfig {
 /// What recovery found on disk.
 #[derive(Clone, Debug, Default)]
 pub struct Recovery {
-    /// Compacted replayable turns in original append order (per session:
-    /// the suffix from its last cold turn).
+    /// Compacted replayable turns in original append order: for each
+    /// session not evicted, the suffix from its last cold turn.
     pub turns: Vec<TurnRecord>,
     /// True when a snapshot file seeded the history.
     pub from_snapshot: bool,
@@ -166,10 +201,45 @@ struct Inner {
     seg_no: u64,
     /// Bytes appended to the current segment.
     seg_bytes: u64,
-    /// Appends since the last snapshot.
+    /// Turn records appended since the last snapshot.
     appends_since_snapshot: u64,
-    /// Compacted live history in append order — what a snapshot writes.
-    history: Vec<TurnRecord>,
+    /// Compacted live history — what a snapshot writes.
+    history: History,
+}
+
+/// The compacted history, kept per live session: its records since its
+/// last cold turn, each tagged with its append sequence number so a
+/// snapshot can write every session's records in append order.
+#[derive(Default)]
+struct History {
+    sessions: FxHashMap<String, Vec<(u64, TurnRecord)>>,
+    next_seq: u64,
+}
+
+impl History {
+    /// Applies one record in O(1) (amortized over the records it drops):
+    /// an eviction drops the session's history, a cold turn restarts it,
+    /// any other turn extends it.
+    fn apply(&mut self, rec: TurnRecord) {
+        if rec.evicted {
+            self.sessions.remove(&rec.session_id);
+            return;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let records = self.sessions.entry(rec.session_id.clone()).or_default();
+        if rec.cold {
+            records.clear();
+        }
+        records.push((seq, rec));
+    }
+
+    /// Every live session's records, in append order.
+    fn records(&self) -> Vec<&TurnRecord> {
+        let mut all: Vec<&(u64, TurnRecord)> = self.sessions.values().flatten().collect();
+        all.sort_unstable_by_key(|(seq, _)| *seq);
+        all.into_iter().map(|(_, rec)| rec).collect()
+    }
 }
 
 /// The write-ahead session journal. Cheap to share behind an `Arc`;
@@ -186,6 +256,7 @@ pub struct SessionJournal {
     fsyncs: Counter,
     rotations: Counter,
     snapshots: Counter,
+    snapshot_records: Counter,
     io_errors: Counter,
     last_error: Mutex<Option<String>>,
 }
@@ -204,6 +275,8 @@ pub struct JournalStats {
     pub rotations: u64,
     /// Snapshots written (each truncates older files).
     pub snapshots: u64,
+    /// Records written into snapshots: the live sessions' histories.
+    pub snapshot_records: u64,
     /// Torn tails dropped during recovery (counted at open).
     pub torn_tails: u64,
     /// Intact records read during recovery (counted at open).
@@ -214,7 +287,7 @@ pub struct JournalStats {
 }
 
 impl JournalStats {
-    /// The journal's eight counters out of `snap`; panics if the journal
+    /// The journal's nine counters out of `snap`; panics if the journal
     /// never registered them there.
     pub(crate) fn from_snapshot(snap: &RegistrySnapshot) -> Self {
         let c = |name: &str| snap.expect_counter(name);
@@ -224,6 +297,7 @@ impl JournalStats {
             fsyncs: c("journal_fsyncs_total"),
             rotations: c("journal_rotations_total"),
             snapshots: c("journal_snapshots_total"),
+            snapshot_records: c("journal_snapshot_records_total"),
             torn_tails: c("journal_torn_tails_total"),
             recovered_records: c("journal_recovered_records_total"),
             io_errors: c("journal_io_errors_total"),
@@ -238,6 +312,7 @@ impl JournalStats {
             .with("fsyncs", self.fsyncs)
             .with("rotations", self.rotations)
             .with("snapshots", self.snapshots)
+            .with("snapshot_records", self.snapshot_records)
             .with("torn_tails", self.torn_tails)
             .with("recovered_records", self.recovered_records)
             .with("io_errors", self.io_errors)
@@ -264,6 +339,15 @@ fn parse_name(name: &str) -> Option<(bool, u64)> {
     None
 }
 
+/// Creates segment `n` for appending; it must not exist yet.
+fn create_segment(dir: &Path, n: u64) -> io::Result<BufWriter<File>> {
+    let file = OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(seg_path(dir, n))?;
+    Ok(BufWriter::new(file))
+}
+
 /// Reads every intact record of one file; returns `(records, torn)`.
 /// A torn record ends the file — everything after it is unreachable
 /// (frame boundaries are gone), which for a crash-truncated tail is
@@ -287,15 +371,6 @@ fn read_records(path: &Path, max: u32) -> io::Result<(Vec<TurnRecord>, bool)> {
             Err(_) => return Ok((out, true)),
         }
     }
-}
-
-/// Applies one record to a compacted history: a cold turn discards the
-/// session's earlier records (they are no longer replayable state).
-fn apply(history: &mut Vec<TurnRecord>, rec: TurnRecord) {
-    if rec.cold {
-        history.retain(|r| r.session_id != rec.session_id);
-    }
-    history.push(rec);
 }
 
 impl SessionJournal {
@@ -324,7 +399,7 @@ impl SessionJournal {
         segs.sort_unstable();
         snaps.sort_unstable();
 
-        let mut history: Vec<TurnRecord> = Vec::new();
+        let mut history = History::default();
         // Newest intact snapshot seeds the history; a torn snapshot is
         // ignored entirely (the segments it would have replaced are only
         // deleted after a snapshot is fully written and synced, so an
@@ -336,7 +411,7 @@ impl SessionJournal {
             if !torn {
                 records_read.add(records.len() as u64);
                 for rec in records {
-                    apply(&mut history, rec);
+                    history.apply(rec);
                 }
                 base = Some(n);
                 break;
@@ -351,11 +426,11 @@ impl SessionJournal {
             records_read.add(records.len() as u64);
             torn_tails.add(torn as u64);
             for rec in records {
-                apply(&mut history, rec);
+                history.apply(rec);
             }
         }
         let recovery = Recovery {
-            turns: history.clone(),
+            turns: history.records().into_iter().cloned().collect(),
             from_snapshot: base.is_some(),
         };
 
@@ -364,12 +439,7 @@ impl SessionJournal {
             .copied()
             .max(snaps.last().copied())
             .map_or(0, |n| n + 1);
-        let writer = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(seg_path(&config.dir, next))?,
-        );
+        let writer = create_segment(&config.dir, next)?;
 
         let journal = Self {
             inner: Mutex::new(Inner {
@@ -384,17 +454,20 @@ impl SessionJournal {
             fsyncs: registry.counter("journal_fsyncs_total"),
             rotations: registry.counter("journal_rotations_total"),
             snapshots: registry.counter("journal_snapshots_total"),
+            snapshot_records: registry.counter("journal_snapshot_records_total"),
             io_errors: registry.counter("journal_io_errors_total"),
             registry: registry.clone(),
             config,
             last_error: Mutex::new(None),
         };
+        journal.sync_dir()?;
         Ok((journal, recovery))
     }
 
-    /// Appends one record durably. Errors are absorbed into counters —
-    /// the serving path must not crash because the disk hiccuped — and
-    /// surfaced via [`SessionJournal::last_error`].
+    /// Appends one record: a turn record durably, an eviction record
+    /// written and flushed but not fsynced. Errors are absorbed into
+    /// counters — the serving path must not crash because the disk
+    /// hiccuped — and surfaced via [`SessionJournal::last_error`].
     pub fn append(&self, rec: TurnRecord) {
         let mut inner = self.inner.lock().expect("journal writer");
         if let Err(e) = self.append_locked(&mut inner, rec) {
@@ -408,19 +481,22 @@ impl SessionJournal {
         let bytes = frame::encode(REC_TURN, &payload);
         inner.writer.write_all(&bytes)?;
         inner.writer.flush()?;
-        if self.config.fsync {
+        // An eviction record sits earlier in this segment than the next
+        // turn record, whose fsync covers it (so does the segment's seal).
+        let turn = !rec.evicted;
+        if self.config.fsync && turn {
             self.fsync(inner.writer.get_ref())?;
         }
         inner.seg_bytes += bytes.len() as u64;
         self.appends.inc();
         self.appended_bytes.add(bytes.len() as u64);
-        apply(&mut inner.history, rec);
-        inner.appends_since_snapshot += 1;
+        inner.history.apply(rec);
+        inner.appends_since_snapshot += turn as u64;
 
         if self.config.snapshot_every > 0
             && inner.appends_since_snapshot >= self.config.snapshot_every
         {
-            self.snapshot_locked(inner, None)?;
+            self.snapshot_locked(inner)?;
         } else if inner.seg_bytes >= self.config.segment_max_bytes {
             self.rotate_locked(inner)?;
         }
@@ -433,61 +509,55 @@ impl SessionJournal {
         file.sync_all()
     }
 
-    fn rotate_locked(&self, inner: &mut Inner) -> io::Result<()> {
+    /// Fsyncs the journal directory, making its entries (a created
+    /// segment, a renamed snapshot) durable.
+    fn sync_dir(&self) -> io::Result<()> {
+        self.fsync(&File::open(&self.config.dir)?)
+    }
+
+    /// Seals the current segment (flush + fsync) and moves the writer to
+    /// a freshly created segment `n`.
+    fn switch_segment(&self, inner: &mut Inner, n: u64) -> io::Result<()> {
         inner.writer.flush()?;
         self.fsync(inner.writer.get_ref())?;
-        let next = inner.seg_no + 1;
-        inner.writer = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(seg_path(&self.config.dir, next))?,
-        );
-        inner.seg_no = next;
+        inner.writer = create_segment(&self.config.dir, n)?;
+        inner.seg_no = n;
         inner.seg_bytes = 0;
+        Ok(())
+    }
+
+    fn rotate_locked(&self, inner: &mut Inner) -> io::Result<()> {
+        self.switch_segment(inner, inner.seg_no + 1)?;
+        self.sync_dir()?;
         self.rotations.inc();
         Ok(())
     }
 
-    /// Writes the compacted history as `snap-K.qkj` (tmp + rename +
-    /// fsync), then deletes every older segment and snapshot. `live`,
-    /// when given, first prunes history to those session ids — the
-    /// caller's view of which sessions still exist (evicted sessions'
-    /// records stop being carried forward).
-    fn snapshot_locked(&self, inner: &mut Inner, live: Option<&HashSet<String>>) -> io::Result<()> {
-        if let Some(live) = live {
-            inner.history.retain(|r| live.contains(&r.session_id));
-        }
-        // Seal the current segment first so the snapshot strictly covers
-        // everything below its number.
-        inner.writer.flush()?;
-        self.fsync(inner.writer.get_ref())?;
+    /// Writes the live sessions' history as `snap-K.qkj` (tmp + fsync +
+    /// rename), then deletes every older segment and snapshot. Appends
+    /// move to segment K+1 before the snapshot is published, so the
+    /// writer never appends below it; one directory fsync then makes the
+    /// new segment and the rename durable before anything is deleted.
+    fn snapshot_locked(&self, inner: &mut Inner) -> io::Result<()> {
+        let old_seg = inner.seg_no;
+        let snap_no = old_seg + 1;
+        self.switch_segment(inner, snap_no + 1)?;
 
-        let snap_no = inner.seg_no + 1;
         let tmp = self.config.dir.join("snap.tmp");
+        let records = inner.history.records();
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
-            for rec in &inner.history {
+            for rec in &records {
                 frame::write_frame(&mut w, REC_TURN, &rec.encode())?;
             }
             w.flush()?;
             self.fsync(w.get_ref())?;
         }
         fs::rename(&tmp, snap_path(&self.config.dir, snap_no))?;
+        self.sync_dir()?;
         self.snapshots.inc();
+        self.snapshot_records.add(records.len() as u64);
         inner.appends_since_snapshot = 0;
-
-        // New appends go above the snapshot; only then drop old files.
-        let fresh = snap_no + 1;
-        inner.writer = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(seg_path(&self.config.dir, fresh))?,
-        );
-        let old_seg = inner.seg_no;
-        inner.seg_no = fresh;
-        inner.seg_bytes = 0;
 
         for entry in fs::read_dir(&self.config.dir)? {
             let entry = entry?;
@@ -505,12 +575,6 @@ impl SessionJournal {
             }
         }
         Ok(())
-    }
-
-    /// Snapshot + truncate now, keeping only `live` sessions' history.
-    pub fn snapshot_retaining(&self, live: &HashSet<String>) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("journal writer");
-        self.snapshot_locked(&mut inner, Some(live))
     }
 
     /// Flushes and fsyncs the current segment (shutdown path).
@@ -537,6 +601,7 @@ impl TurnLog for SessionJournal {
             session_id: turn.session_id.to_string(),
             turn: turn.turn,
             cold: turn.cold,
+            evicted: turn.evicted,
             doc_ids: turn.doc_ids.iter().map(|&id| id as u64).collect(),
             docs_fingerprint: turn.docs_fingerprint,
         });
@@ -558,6 +623,7 @@ mod tests {
             session_id: session.into(),
             turn,
             cold,
+            evicted: false,
             doc_ids: ids.to_vec(),
             docs_fingerprint: 0xfeed + turn,
         }
@@ -570,10 +636,23 @@ mod tests {
         SessionJournal::open(cfg, &Registry::new()).unwrap()
     }
 
+    /// The (session, turn) pairs `rev` recovered, in order.
+    fn turns(rev: &Recovery) -> Vec<(&str, u64)> {
+        rev.turns
+            .iter()
+            .map(|r| (r.session_id.as_str(), r.turn))
+            .collect()
+    }
+
     #[test]
     fn record_roundtrip() {
-        let r = rec("explorer", 3, false, &[1, 2, 99]);
-        assert_eq!(TurnRecord::decode(&r.encode(), 1 << 20).unwrap(), r);
+        for r in [
+            rec("explorer", 3, false, &[1, 2, 99]),
+            rec("explorer", 1, true, &[4]),
+            TurnRecord::eviction("explorer"),
+        ] {
+            assert_eq!(TurnRecord::decode(&r.encode(), 1 << 20).unwrap(), r);
+        }
     }
 
     #[test]
@@ -587,12 +666,7 @@ mod tests {
             j.append(rec("a", 2, false, &[3]));
         }
         let (j, rev) = open(&dir, |_| {});
-        let ids: Vec<_> = rev
-            .turns
-            .iter()
-            .map(|r| (r.session_id.as_str(), r.turn))
-            .collect();
-        assert_eq!(ids, vec![("a", 1), ("b", 1), ("a", 2)]);
+        assert_eq!(turns(&rev), vec![("a", 1), ("b", 1), ("a", 2)]);
         assert_eq!(j.stats().torn_tails, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -649,38 +723,104 @@ mod tests {
     fn snapshot_truncates_old_segments_and_drops_dead_sessions() {
         let dir = tmp_dir("snap");
         {
-            let (j, _) = open(&dir, |c| c.segment_max_bytes = 64);
+            // The 13th turn record snapshots.
+            let (j, _) = open(&dir, |c| {
+                c.segment_max_bytes = 64;
+                c.snapshot_every = 13;
+            });
             for t in 1..=6 {
                 j.append(rec("a", t, t == 1, &[t]));
                 j.append(rec("dead", t, t == 1, &[100 + t]));
             }
             assert!(j.stats().rotations > 0, "tiny segments must rotate");
-            let live: HashSet<String> = ["a".to_string()].into_iter().collect();
-            j.snapshot_retaining(&live).unwrap();
-            assert_eq!(j.stats().snapshots, 1);
-            // More appends after the snapshot land in the fresh segment.
+            j.append(TurnRecord::eviction("dead"));
+            assert_eq!(j.stats().snapshots, 0, "eviction records do not count");
             j.append(rec("a", 7, false, &[7]));
+            let stats = j.stats();
+            assert_eq!(stats.snapshots, 1);
+            assert_eq!(stats.snapshot_records, 7, "a's records only");
+            // More appends after the snapshot land in the fresh segment.
+            j.append(rec("a", 8, false, &[8]));
         }
         // Only the snapshot and the post-snapshot segment remain.
-        let names: Vec<String> = fs::read_dir(&dir)
+        let mut names: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter_map(|e| e.file_name().to_str().map(String::from))
             .filter(|n| n.ends_with(".qkj"))
             .collect();
-        assert_eq!(
-            names.iter().filter(|n| n.starts_with("snap-")).count(),
-            1,
-            "old snapshots pruned: {names:?}"
-        );
+        names.sort();
+        assert_eq!(names.len(), 2, "old files pruned: {names:?}");
+        assert!(names[0].starts_with("seg-") && names[1].starts_with("snap-"));
         let (_, rev) = open(&dir, |_| {});
         assert!(rev.from_snapshot);
-        assert!(rev.turns.iter().all(|r| r.session_id == "a"));
-        assert_eq!(rev.turns.len(), 7);
-        assert_eq!(
-            rev.turns.iter().map(|r| r.turn).collect::<Vec<_>>(),
-            (1..=7).collect::<Vec<_>>()
-        );
+        assert_eq!(turns(&rev), (1..=8).map(|t| ("a", t)).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_writes_only_the_live_sessions() {
+        // 8 sessions of 2 turns each, then all but k = 3 evicted: the
+        // next snapshot writes the 3 live sessions' records and nothing
+        // of the 5 evicted ones.
+        let dir = tmp_dir("snap_bound");
+        {
+            let (j, _) = open(&dir, |c| {
+                c.fsync = true;
+                c.snapshot_every = 20;
+            });
+            for t in 1..=2 {
+                for s in 0..8 {
+                    j.append(rec(&format!("s{s}"), t, t == 1, &[s * 10 + t]));
+                }
+            }
+            let before = j.stats();
+            for s in 3..8 {
+                j.append(TurnRecord::eviction(format!("s{s}")));
+            }
+            let after = j.stats();
+            assert_eq!(after.appends - before.appends, 5);
+            assert_eq!(
+                after.fsyncs, before.fsyncs,
+                "an eviction record adds no fsync"
+            );
+            // Turns 17..=20 on the live sessions; the 20th snapshots.
+            for (s, t) in [("s0", 3), ("s1", 3), ("s2", 3), ("s0", 4)] {
+                j.append(rec(s, t, false, &[t]));
+            }
+            let snap = j.stats();
+            assert_eq!(snap.snapshots, 1);
+            assert_eq!(snap.snapshot_records - after.snapshot_records, 3 * 2 + 4);
+        }
+        let (_, rev) = open(&dir, |_| {});
+        assert!(rev.from_snapshot);
+        let mut want: Vec<(&str, u64)> = (1..=3)
+            .flat_map(|t| ["s0", "s1", "s2"].map(|s| (s, t)))
+            .collect();
+        want.push(("s0", 4));
+        assert_eq!(turns(&rev), want);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_never_land_below_the_newest_snapshot() {
+        // The snapshot after append 2 is numbered 1 and wants segment 2
+        // for the appends after it. Segment 2 already exists, so the
+        // snapshot fails; it must fail before it publishes itself, or
+        // append 3 would go to segment 0, below the snapshot, where
+        // recovery never reads.
+        let dir = tmp_dir("below_snap");
+        {
+            let (j, _) = open(&dir, |c| c.snapshot_every = 2);
+            File::create(seg_path(&dir, 2)).unwrap();
+            for t in 1..=3 {
+                j.append(rec("a", t, t == 1, &[t]));
+            }
+            let stats = j.stats();
+            assert_eq!((stats.snapshots, stats.io_errors), (0, 2), "{stats:?}");
+        }
+        let (_, rev) = open(&dir, |_| {});
+        assert_eq!(turns(&rev), vec![("a", 1), ("a", 2), ("a", 3)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -701,10 +841,13 @@ mod tests {
 
     #[test]
     fn every_fsync_is_counted() {
-        // 9 appends, 64-byte segments, a snapshot every 4 appends: appends
-        // 2 and 6 rotate (one fsync each), appends 4 and 8 snapshot (two
-        // each: the sealed segment and the snapshot file).
-        for (fsync, expected) in [(false, 6), (true, 9 + 6)] {
+        // Open creates segment 0 and fsyncs the directory: 1. Then 9
+        // appends of 47-byte frames, 64-byte segments, a snapshot every 4
+        // appends: appends 2 and 6 rotate (2 fsyncs each: the sealed
+        // segment and the directory), appends 4 and 8 snapshot (3 each:
+        // the sealed segment, the snapshot file and the directory).
+        // 1 + 2 * 2 + 2 * 3 = 11, plus one per append with fsync on.
+        for (fsync, expected) in [(false, 11), (true, 11 + 9)] {
             let dir = tmp_dir(&format!("fsyncs_{fsync}"));
             let (j, _) = open(&dir, |c| {
                 c.fsync = fsync;

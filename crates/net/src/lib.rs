@@ -23,7 +23,8 @@
 //!   the depth provably never exceeds it), `net_request` root spans
 //!   around the inner tier's `request` span trees, and an optional
 //!   [`SessionJournal`]: a segmented, checksummed write-ahead log of
-//!   committed session turns with snapshot + truncation, replayed on
+//!   committed session turns and session evictions with snapshot +
+//!   truncation, replayed on
 //!   warm restart through the production streaming path so recovered
 //!   sessions are **byte-identical** to an uninterrupted run
 //!   (`tests/journal_replay.rs` proves this under arbitrary

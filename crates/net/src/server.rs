@@ -44,7 +44,11 @@
 //! at startup, replays the recovered records through
 //! [`qkb_serve::QkbServer::replay_session_turn`] — the same streaming
 //! path live turns take — so sessions resume byte-identical to an
-//! uninterrupted run. Records whose document texts no longer match the
+//! uninterrupted run. The inner server's session store reports every
+//! eviction to the same journal, so recovery returns only the sessions
+//! the store still held; an eviction the replay itself causes (a store
+//! smaller than the one that wrote the journal) is journaled like a live
+//! one. Records whose document texts no longer match the
 //! journaled fingerprint (the corpus changed under the journal) are
 //! dropped, along with the rest of that session's records. Both outcomes
 //! are counted at start (`net_replayed_turns_total`,
@@ -355,7 +359,8 @@ impl<E: QueryEngine> QkbNetServer<E> {
         // Warm restart: stream every recovered turn back through the
         // production extend path, in journal (= original merge) order.
         // `replay_session_turn` does not re-notify the turn log, so the
-        // journal is not re-appended for replayed state.
+        // journal is not re-appended for replayed state; the store still
+        // reports any eviction the replay causes.
         let mut stale: std::collections::HashSet<String> = Default::default();
         for rec in &recovered.turns {
             if stale.contains(&rec.session_id) {
@@ -456,22 +461,6 @@ impl<E: QueryEngine> QkbNetServer<E> {
     pub fn session_kb_json(&self, session_id: &str) -> Option<String> {
         let guard = self.shared.server.lock().expect("inner server slot");
         guard.as_ref().and_then(|s| s.session_kb_json(session_id))
-    }
-
-    /// Compacts the journal now, keeping only currently-live sessions'
-    /// history (no-op without a journal).
-    pub fn compact_journal(&self) -> io::Result<()> {
-        let Some(journal) = &self.shared.journal else {
-            return Ok(());
-        };
-        let live = {
-            let guard = self.shared.server.lock().expect("inner server slot");
-            match guard.as_ref() {
-                Some(s) => s.session_ids().into_iter().collect(),
-                None => return Ok(()),
-            }
-        };
-        journal.snapshot_retaining(&live)
     }
 
     /// Graceful, idempotent shutdown: stop accepting, finish every

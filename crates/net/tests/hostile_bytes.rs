@@ -8,9 +8,10 @@
 //!    arbitrary kind tags and payloads (random, or valid encodings cut,
 //!    flipped and padded) return `Err` or a message that re-encodes to
 //!    exactly the bytes it came from;
-//! 3. **journal files** — a segment of garbage, or of valid records
-//!    followed by garbage, opens with the valid records recovered and the
-//!    garbage counted as one torn tail (or fails with an I/O error).
+//! 3. **journal files** — a segment of garbage, or of valid turn and
+//!    eviction records followed by garbage, opens with the valid records
+//!    recovered and the garbage counted as one torn tail (or fails with
+//!    an I/O error).
 
 use proptest::prelude::*;
 use qkb_net::frame::{self, FrameError, HEADER_BYTES};
@@ -201,12 +202,15 @@ fn open(dir: &Path) -> std::io::Result<(SessionJournal, qkb_net::Recovery)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A segment of `valid` intact records followed by garbage recovers
-    /// exactly the intact records and counts the garbage as one torn
-    /// tail; garbage alone recovers nothing. Never a panic.
+    /// A segment of `valid` intact records — turn records, some of them
+    /// followed by their session's eviction record — then garbage
+    /// recovers exactly the intact records (the evicted sessions dropped)
+    /// and counts the garbage as one torn tail; garbage alone recovers
+    /// nothing. Never a panic.
     #[test]
     fn journal_segment_with_garbage_recovers_the_valid_prefix(
         valid in 0usize..4,
+        evict in proptest::collection::vec(any::<bool>(), 4),
         garbage in bytes(1..96),
         framed_garbage in any::<bool>(),
         edits in edits(),
@@ -222,15 +226,24 @@ proptest! {
             garbage
         };
         prop_assume!(!tail.is_empty());
-        let written: Vec<TurnRecord> = (0..valid)
-            .map(|i| TurnRecord {
+        let mut written = Vec::new();
+        let mut live = Vec::new();
+        for (i, &evicted) in evict.iter().enumerate().take(valid) {
+            let turn = TurnRecord {
                 session_id: format!("s{i}"),
                 turn: 1,
                 cold: true,
+                evicted: false,
                 doc_ids: vec![i as u64, 7],
                 docs_fingerprint: 0xfeed ^ i as u64,
-            })
-            .collect();
+            };
+            written.push(turn.clone());
+            if evicted {
+                written.push(TurnRecord::eviction(format!("s{i}")));
+            } else {
+                live.push(turn);
+            }
+        }
         let dir = tmp_dir();
         {
             let (journal, _) = open(&dir).expect("fresh journal");
@@ -247,8 +260,8 @@ proptest! {
         if let Ok((journal, recovery)) = open(&dir) {
             let stats = journal.stats();
             prop_assert_eq!(stats.torn_tails, 1);
-            prop_assert_eq!(stats.recovered_records, valid as u64);
-            prop_assert_eq!(&recovery.turns, &written);
+            prop_assert_eq!(stats.recovered_records, written.len() as u64);
+            prop_assert_eq!(&recovery.turns, &live);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

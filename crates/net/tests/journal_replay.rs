@@ -7,19 +7,28 @@
 //! prefix of turns uninterrupted. A torn trailing record is detected by
 //! its checksum/length and dropped, never decoded into garbage.
 //!
-//! `crash_replay_matches_uninterrupted_run` is re-run by name in the CI
-//! determinism gate.
+//! The session store journals its evictions, so the same holds for the
+//! sessions it evicted: they stay evicted after a crash at any record
+//! boundary, and a turn that commits on an evicted slot is not replayed.
+//!
+//! `crash_replay_matches_uninterrupted_run` and
+//! `ttl_evicted_sessions_stay_evicted_after_a_crash` are re-run by name
+//! in the CI determinism gate.
 
 use proptest::prelude::*;
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
 use qkb_net::frame::HEADER_BYTES;
-use qkb_net::{JournalConfig, NetClient, NetConfig, QkbNetServer};
+use qkb_net::{JournalConfig, NetClient, NetConfig, QkbNetServer, SessionJournal};
+use qkb_obs::Registry;
 use qkb_qa::QaSystem;
-use qkb_serve::{QueryRequest, ServeConfig, Served};
+use qkb_serve::{LoggedTurn, QueryRequest, ServeConfig, Served, TurnLog};
+use qkb_session::{ForestConfig, Residency, SessionConfig, SessionManager};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
+use std::time::Duration;
 
 fn engine() -> Arc<QaSystem> {
     static ENGINE: OnceLock<Arc<QaSystem>> = OnceLock::new();
@@ -140,49 +149,114 @@ fn truncate(path: &Path, len: u64) {
     f.set_len(len).unwrap();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+/// A fresh journal directory holding one segment: `bytes`.
+fn journal_of(tag: &str, bytes: &[u8]) -> PathBuf {
+    let dir = fresh_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("seg-00000000.qkj"), bytes).unwrap();
+    dir
+}
 
-    /// Random multi-session turn sequences, journal truncated at an
-    /// arbitrary record boundary: the recovered server's session KBs are
-    /// byte-identical to a server that ran exactly the committed prefix.
+/// The sessions a server holds after one journal record: each session's
+/// KB rendering and how many records replay would stream into it (its
+/// records since its last cold turn).
+#[derive(Clone, Default)]
+struct Held(BTreeMap<String, (String, u64)>);
+
+impl Held {
+    /// What [`session_kbs`] reads from a server holding exactly these
+    /// sessions.
+    fn kbs(&self, turns: &[(usize, usize)]) -> Vec<(String, Option<String>)> {
+        let mut ids: Vec<String> = turns.iter().map(|&(s, _)| format!("s{s}")).collect();
+        ids.sort();
+        ids.dedup();
+        ids.into_iter()
+            .map(|id| {
+                let kb = self.0.get(&id).map(|(kb, _)| kb.clone());
+                (id, kb)
+            })
+            .collect()
+    }
+
+    fn replayable(&self) -> u64 {
+        self.0.values().map(|(_, n)| n).sum()
+    }
+}
+
+proptest! {
+    // More cases than the forked test below: a case only exercises an
+    // eviction when its turns touch more sessions than the cap holds.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random multi-session turn sequences under a session cap that
+    /// evicts, journal truncated at an arbitrary record boundary: the
+    /// recovered server's session KBs are byte-identical to the
+    /// uninterrupted server's after the same record. A turn whose claim
+    /// evicts the least recently used session journals that eviction
+    /// record first, then its own turn record.
     #[test]
     fn crash_replay_matches_uninterrupted_run(
-        turns in proptest::collection::vec((0usize..3, 0usize..6), 1..5),
-        cut in 0usize..6,
+        turns in proptest::collection::vec((0usize..3, 0usize..6), 2..7),
+        max_sessions in 1usize..3,
+        cut in 0usize..16,
     ) {
         let sys = engine();
         let pool = question_pool(&sys);
         let dir = fresh_dir("prop");
+        let config = |dir: Option<&Path>| {
+            let mut config = config_with_journal(dir);
+            config.serve.session.max_sessions = max_sessions;
+            config
+        };
 
-        // Life 1: run every turn with the journal attached.
-        {
-            let server = QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
-            drive(&server, &turns, &pool);
-        }
+        // Life 1: run every turn with the journal attached, noting what
+        // the server holds after every record it journals.
+        let mut after = vec![Held::default()];
+        let evictions = {
+            let server = QkbNetServer::start(sys.clone(), config(Some(&dir))).unwrap();
+            let mut client = NetClient::connect(server.local_addr()).unwrap();
+            for &(s, q) in &turns {
+                let id = format!("s{s}");
+                let answer = client
+                    .query_in_session(&id, QueryRequest::question(&pool[q]))
+                    .unwrap();
+                let resident = server.session_ids();
+                let mut held = after.last().unwrap().clone();
+                let evicted: Vec<String> =
+                    held.0.keys().filter(|k| !resident.contains(k)).cloned().collect();
+                for gone in evicted {
+                    held.0.remove(&gone);
+                    after.push(held.clone());
+                }
+                let cold = matches!(answer.served, Served::SessionCold | Served::SessionForked);
+                let records = if cold { 1 } else { held.0[&id].1 + 1 };
+                let kb = server.session_kb_json(&id).expect("the turn's session is resident");
+                held.0.insert(id, (kb, records));
+                after.push(held);
+            }
+            server.stats().serve.sessions.evicted_pressure
+        };
 
-        // Crash: keep only the first `cut_k` committed records.
+        // Crash: keep only the first `cut_k` records.
         let (seg, boundaries) = segment_and_boundaries(&dir);
-        prop_assert_eq!(boundaries.len(), turns.len() + 1);
+        prop_assert_eq!(boundaries.len(), turns.len() + evictions as usize + 1);
+        prop_assert_eq!(boundaries.len(), after.len());
         let cut_k = cut % boundaries.len();
         truncate(&seg, boundaries[cut_k]);
-        let prefix = &turns[..cut_k];
 
         // Life 2: recover from the truncated journal.
-        let recovered =
-            QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
+        let recovered = QkbNetServer::start(sys.clone(), config(Some(&dir))).unwrap();
         let replay = recovered.stats();
-        prop_assert_eq!(replay.replayed_turns, cut_k as u64);
+        prop_assert_eq!(replay.replayed_turns, after[cut_k].replayable());
         prop_assert_eq!(replay.replay_dropped_records, 0);
-
-        // Reference: an uninterrupted server that ran only the prefix.
-        let reference = QkbNetServer::start(sys.clone(), config_with_journal(None)).unwrap();
-        drive(&reference, prefix, &pool);
-
-        prop_assert_eq!(session_kbs(&recovered, prefix), session_kbs(&reference, prefix));
+        prop_assert_eq!(session_kbs(&recovered, &turns), after[cut_k].kbs(&turns));
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Prefix-forest sessions under crash replay: several sessions open
     /// on the *same* question (so all but the first fork a shared frozen
@@ -325,5 +399,200 @@ fn recovered_sessions_continue_byte_identically() {
     let third = QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
     assert_eq!(third.stats().replayed_turns, 3);
     assert_eq!(third.session_kb_json("s0"), reference.session_kb_json("s0"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session the TTL expired stays expired after a crash at every record
+/// boundary. A turn on `s0`, 400 ms idle under a 300 ms TTL, then a turn
+/// on `s1`, whose claim expires `s0`: the journal holds `s0`'s turn,
+/// `s0`'s eviction and `s1`'s turn. After each record, the recovered
+/// server holds the sessions and KBs the uninterrupted server held, and
+/// the next `s0` turn is served alike: extended while `s0` is held, cold
+/// once it was evicted. The forest is off so that a cold turn reads
+/// `SessionCold`, never `SessionForked`.
+#[test]
+fn ttl_evicted_sessions_stay_evicted_after_a_crash() {
+    let sys = engine();
+    let pool = question_pool(&sys);
+    let config = |dir: Option<&Path>| {
+        let mut config = config_with_journal(dir);
+        config.serve.session = SessionConfig {
+            ttl: Duration::from_millis(300),
+            forest: ForestConfig {
+                enabled: false,
+                ..ForestConfig::default()
+            },
+            ..SessionConfig::default()
+        };
+        config
+    };
+    let next_s0 = |server: &QkbNetServer<Arc<QaSystem>>| {
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        client
+            .query_in_session("s0", QueryRequest::question(&pool[2]))
+            .unwrap()
+            .served
+    };
+
+    // Life 1, uninterrupted.
+    let dir = fresh_dir("ttl");
+    let server = QkbNetServer::start(sys.clone(), config(Some(&dir))).unwrap();
+    drive(&server, &[(0, 0)], &pool);
+    let s0 = server.session_kb_json("s0").expect("s0 resident");
+    std::thread::sleep(Duration::from_millis(400));
+    drive(&server, &[(1, 1)], &pool);
+    assert_eq!(server.session_ids(), ["s1"], "s1's claim expired s0");
+    let s1 = server.session_kb_json("s1").expect("s1 resident");
+    let (seg, boundaries) = segment_and_boundaries(&dir);
+    assert_eq!(boundaries.len(), 4, "s0's turn, s0's eviction, s1's turn");
+    let journal = std::fs::read(seg).unwrap();
+    assert_eq!(next_s0(&server), Served::SessionCold);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // What the uninterrupted server held after each record.
+    let held: [&[(&str, &String)]; 4] = [&[], &[("s0", &s0)], &[], &[("s1", &s1)]];
+    for (k, &boundary) in boundaries.iter().enumerate() {
+        let dir = journal_of("ttl_cut", &journal[..boundary as usize]);
+        let recovered = QkbNetServer::start(sys.clone(), config(Some(&dir))).unwrap();
+        let mut ids = recovered.session_ids();
+        ids.sort();
+        let want: Vec<&str> = held[k].iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, want, "sessions after record {k}");
+        for &(id, kb) in held[k] {
+            assert_eq!(
+                recovered.session_kb_json(id).as_ref(),
+                Some(kb),
+                "{id} after record {k}"
+            );
+        }
+        let s0_held = want.contains(&"s0");
+        let expected = if s0_held {
+            Served::SessionExtended
+        } else {
+            Served::SessionCold
+        };
+        assert_eq!(
+            next_s0(&recovered),
+            expected,
+            "next s0 turn after record {k}"
+        );
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A turn that commits on a slot the store evicted while it ran is not
+/// journaled after that slot's eviction record, so replay does not
+/// resurrect the session. The store and the journal are wired the way
+/// `QkbServer::start` and its session turns wire them; barriers hold
+/// session `a`'s turn open while `b`'s claim evicts `a` under a cap of
+/// one session.
+#[test]
+fn a_turn_on_an_evicted_slot_is_not_replayed() {
+    let dir = fresh_dir("orphan");
+    let mut config = JournalConfig::new(&dir);
+    config.fsync = false;
+    let (journal, _) = SessionJournal::open(config.clone(), &Registry::new()).unwrap();
+    let log: Arc<dyn TurnLog> = Arc::new(journal);
+    let hook = Arc::clone(&log);
+    let store = SessionManager::new(
+        SessionConfig {
+            max_sessions: 1,
+            ..SessionConfig::default()
+        },
+        &Registry::new(),
+    )
+    .with_eviction_hook(move |id| hook.log_turn(&LoggedTurn::eviction(id)));
+    let opening = |id: &str, residency: &Residency<'_>| {
+        residency.if_resident(|| {
+            log.log_turn(&LoggedTurn {
+                session_id: id,
+                turn: 1,
+                cold: true,
+                evicted: false,
+                doc_ids: &[1],
+                docs_fingerprint: 7,
+            })
+        })
+    };
+    let (claimed, evicted) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|scope| {
+        let orphan = scope.spawn(|| {
+            store.with_turn("a", |_, residency| {
+                claimed.wait();
+                evicted.wait();
+                opening("a", residency)
+            })
+        });
+        claimed.wait();
+        let journaled = store.with_turn("b", |_, residency| opening("b", residency));
+        assert!(journaled, "b's claim evicts a, then b's turn is journaled");
+        evicted.wait();
+        assert!(
+            !orphan.join().unwrap(),
+            "a's turn finished on an evicted slot"
+        );
+    });
+    drop(store);
+    drop(log);
+
+    let (_, recovery) = SessionJournal::open(config, &Registry::new()).unwrap();
+    let sessions: Vec<&str> = recovery
+        .turns
+        .iter()
+        .map(|r| r.session_id.as_str())
+        .collect();
+    assert_eq!(sessions, ["b"], "a must not come back");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same through the server: under a TTL shorter than a turn, the
+/// store evicts slots while two shards run turns on them. Each turn opens
+/// a new session, and the stage-1 cache and the forest are off, so every
+/// turn runs a cold build the other shard's claims can expire it during.
+/// Whatever the store evicted, the journal at rest recovers exactly the
+/// sessions the server holds: no turn that finished on an evicted slot
+/// was journaled after that slot's eviction record.
+#[test]
+fn mid_turn_evictions_leave_the_journal_holding_the_served_sessions() {
+    let sys = engine();
+    let pool = question_pool(&sys);
+    let dir = fresh_dir("midturn");
+    let mut config = config_with_journal(Some(&dir));
+    config.serve.shards = 2;
+    config.serve.stage1_cache_bytes = 0;
+    config.serve.session = SessionConfig {
+        ttl: Duration::from_micros(100),
+        forest: ForestConfig {
+            enabled: false,
+            ..ForestConfig::default()
+        },
+        ..SessionConfig::default()
+    };
+    let server = QkbNetServer::start(sys.clone(), config).unwrap();
+    std::thread::scope(|scope| {
+        for c in 0..2 {
+            let (server, pool) = (&server, &pool);
+            scope.spawn(move || {
+                let mut client = NetClient::connect(server.local_addr()).unwrap();
+                for i in 0..40 {
+                    let request = QueryRequest::question(&pool[(i + c) % pool.len()]);
+                    client
+                        .query_in_session(&format!("c{c}t{i}"), request)
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert!(server.stats().serve.sessions.evicted_ttl > 0);
+    let mut held = server.session_ids();
+    held.sort();
+    drop(server);
+
+    let (_, recovery) = SessionJournal::open(JournalConfig::new(&dir), &Registry::new()).unwrap();
+    let mut journaled: Vec<String> = recovery.turns.into_iter().map(|r| r.session_id).collect();
+    journaled.sort();
+    assert_eq!(journaled, held);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -53,39 +53,74 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One committed session turn, as observed by a [`TurnLog`].
+/// One committed session turn, or one session eviction, as observed by
+/// a [`TurnLog`].
 ///
 /// The fields are exactly what a write-ahead journal needs to replay the
 /// turn after a restart: the session, the turn's sequence number within
 /// it, whether the session KB was empty before the turn (a *cold* record
 /// resets the session's replayable history — everything before it
 /// describes a KB that no longer exists), the retrieved document ids and
-/// the fingerprint of their texts (the replay-time staleness check).
+/// the fingerprint of their texts (the replay-time staleness check). An
+/// eviction record ([`LoggedTurn::eviction`]) names only the session:
+/// the store dropped it, and replay drops its history.
 #[derive(Clone, Copy, Debug)]
 pub struct LoggedTurn<'a> {
-    /// The session the turn extended.
+    /// The session the turn extended, or the store evicted.
     pub session_id: &'a str,
-    /// 1-based turn sequence number within the session.
+    /// 1-based turn sequence number within the session (0 for an
+    /// eviction).
     pub turn: u64,
     /// True when the session KB was empty before this turn.
     pub cold: bool,
+    /// True for an eviction record: no turn ran, the session is gone.
+    pub evicted: bool,
     /// The turn's retrieved document ids, in retrieval order.
     pub doc_ids: &'a [usize],
     /// `fingerprint_seq` of the documents' texts.
     pub docs_fingerprint: u64,
 }
 
-/// Observer of committed session turns — the durability hook.
+impl<'a> LoggedTurn<'a> {
+    /// The eviction record of `session_id`.
+    pub fn eviction(session_id: &'a str) -> Self {
+        Self {
+            session_id,
+            turn: 0,
+            cold: false,
+            evicted: true,
+            doc_ids: &[],
+            docs_fingerprint: 0,
+        }
+    }
+}
+
+/// Observer of committed session turns and of session evictions — the
+/// durability hook.
 ///
-/// [`ServeConfig::turn_log`] attaches one to the server; the shard calls
+/// [`ServeConfig::turn_log`] attaches one to the server. The shard calls
 /// it **while still holding the session's slot lock**, immediately after
 /// the extend commits. That ordering is the journal's soundness
 /// argument: concurrent turns on one session serialize on the slot lock,
 /// so the log's append order equals the order the documents actually
 /// merged into the KB — replaying the log replays the same
 /// first-arrival order and therefore the same bytes.
+///
+/// The session store calls it too, with an eviction record for every
+/// session it evicts by TTL or pressure, **while holding the store's
+/// lock**. Two more ordering rules follow, and replay relies on both:
+///
+/// 1. A session's eviction record comes before every record of a later
+///    session with the same id: the new session is created under the
+///    store lock the eviction was reported under.
+/// 2. A turn that commits on a slot the store evicted while the turn ran
+///    is not recorded after that slot's eviction record (it is not
+///    recorded at all), so replay never resurrects a session the live
+///    server dropped. The turn checks its slot under the lock the
+///    eviction report holds ([`qkb_session::Residency`]).
 pub trait TurnLog: Send + Sync + 'static {
-    /// Records one committed turn. Must not call back into the server.
+    /// Records one committed turn or one eviction. Must not call back
+    /// into the server.
     fn log_turn(&self, turn: &LoggedTurn<'_>);
 }
 
@@ -132,9 +167,10 @@ pub struct ServeConfig {
     /// config share it, so two servers started from clones of one config
     /// count into the same cells.
     pub registry: Registry,
-    /// Committed-session-turn observer (`None` = no durability). The
-    /// network tier attaches its write-ahead journal here; see
-    /// [`TurnLog`] for the ordering contract.
+    /// Observer of committed session turns and session evictions
+    /// (`None` = no durability). The network tier attaches its
+    /// write-ahead journal here; see [`TurnLog`] for the ordering
+    /// contract.
     pub turn_log: Option<Arc<dyn TurnLog>>,
 }
 
@@ -479,11 +515,16 @@ impl<E: QueryEngine> QkbServer<E> {
         let shards = config.resolved_shards();
         // Every tier counts into the config's one registry.
         let registry = &config.registry;
+        let mut sessions =
+            SessionManager::new(config.session, registry).with_recorder(config.recorder.clone());
+        if let Some(log) = config.turn_log.clone() {
+            sessions =
+                sessions.with_eviction_hook(move |id| log.log_turn(&LoggedTurn::eviction(id)));
+        }
         let shared = Arc::new(Shared {
             cache: FragmentCache::new(config.cache_capacity, LOCK_SHARDS, registry),
             stage1: Stage1Cache::new(config.stage1_cache_bytes, LOCK_SHARDS, registry),
-            sessions: SessionManager::new(config.session, registry)
-                .with_recorder(config.recorder.clone()),
+            sessions,
             engine: Arc::new(engine),
             queue: AdmissionQueue::new(),
             inflight: InFlightTable::new(),
@@ -573,33 +614,31 @@ impl<E: QueryEngine> QkbServer<E> {
         self.shared.sessions.sweep();
     }
 
-    /// Ids of the sessions resident right now (what an explicit journal
-    /// compaction keeps; automatic snapshots keep every session).
+    /// Ids of the sessions resident right now.
     pub fn session_ids(&self) -> Vec<String> {
         self.shared.sessions.ids()
     }
 
     /// Stable JSON rendering of one resident session's accumulated KB,
-    /// `None` when the session doesn't exist. This string is the
+    /// `None` when the session doesn't exist. A read, not a use: it
+    /// never creates, touches or evicts a session. This string is the
     /// byte-identity assertion surface: the crash-replay tests compare
     /// it across an interrupted-and-recovered server and an
     /// uninterrupted one.
     pub fn session_kb_json(&self, session_id: &str) -> Option<String> {
-        if !self.shared.sessions.contains(session_id) {
-            return None;
-        }
         let patterns = self.shared.engine.qkbfly().patterns();
-        Some(self.shared.sessions.with_session(session_id, |session| {
+        self.shared.sessions.peek(session_id, |session| {
             session.kb().to_json(patterns).to_string()
-        }))
+        })
     }
 
     /// Replays one journaled session turn: streams `texts` into the
     /// session's KB exactly as a live [`QkbServer::query_in_session`]
     /// turn would (same deterministic `extend_kb` fold, same shared
     /// stage-1 cache), but without answering, without re-notifying
-    /// [`ServeConfig::turn_log`] (the record being replayed already
-    /// exists) and without touching the request metrics. Because
+    /// [`ServeConfig::turn_log`] of the turn (the record being replayed
+    /// already exists; an eviction its claim causes is still reported)
+    /// and without touching the request metrics. Because
     /// extends are append-only and prefix-stable, replaying a journal's
     /// committed records in order reconstructs each session KB
     /// byte-identically to the uninterrupted run.
@@ -934,29 +973,35 @@ fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &Qkbfly, job: Job) 
     let doc_ids = shared.engine.retrieve(&job.request);
     let fkey = shared.engine.doc_fingerprint(&doc_ids);
     let texts = shared.engine.doc_texts(&doc_ids);
-    let (report, answers, n_docs, n_facts) = shared.sessions.with_session(session_id, |session| {
-        let report = session.extend(qkb, &shared.stage1, &texts);
-        // The durability hook fires inside the slot lock: concurrent
-        // turns on one session serialize here, so the journal's append
-        // order is exactly the order documents merged into the KB.
-        if let Some(log) = &shared.config.turn_log {
-            log.log_turn(&LoggedTurn {
-                session_id,
-                turn: session.turns(),
-                cold: report.cold,
-                doc_ids: &doc_ids,
-                // Equals fingerprint_seq(texts) by the engine contract.
-                docs_fingerprint: fkey,
-            });
-        }
-        let answers = shared.engine.answer_kb(&job.request, session.kb());
-        (
-            report,
-            answers,
-            session.kb().n_docs(),
-            session.kb().n_facts(),
-        )
-    });
+    let (report, answers, n_docs, n_facts) =
+        shared.sessions.with_turn(session_id, |session, residency| {
+            let report = session.extend(qkb, &shared.stage1, &texts);
+            // The durability hook fires inside the slot lock: concurrent
+            // turns on one session serialize here, so the journal's append
+            // order is exactly the order documents merged into the KB. A slot
+            // the store evicted mid-turn is not journaled: its eviction
+            // record may already be written.
+            if let Some(log) = &shared.config.turn_log {
+                residency.if_resident(|| {
+                    log.log_turn(&LoggedTurn {
+                        session_id,
+                        turn: session.turns(),
+                        cold: report.cold,
+                        evicted: false,
+                        doc_ids: &doc_ids,
+                        // Equals fingerprint_seq(texts) by the engine contract.
+                        docs_fingerprint: fkey,
+                    })
+                });
+            }
+            let answers = shared.engine.answer_kb(&job.request, session.kb());
+            (
+                report,
+                answers,
+                session.kb().n_docs(),
+                session.kb().n_facts(),
+            )
+        });
     shared.sessions.note_turn(&report);
     // A turn's stage work feeds the same counters as one-shot builds,
     // but a turn is not a build round.

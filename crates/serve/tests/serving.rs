@@ -621,6 +621,35 @@ fn cross_session_rebuild_is_byte_identical() {
     server.shutdown();
 }
 
+/// Reading a session's KB is not a use: the read neither refreshes the
+/// session's LRU position nor creates a session for an unknown id.
+#[test]
+fn reading_a_session_kb_does_not_claim_it() {
+    let sys = Arc::new(engine());
+    let qs = questions(&sys, 3);
+    let server = QkbServer::start(
+        sys.clone(),
+        ServeConfig {
+            shards: 1,
+            session: SessionConfig {
+                max_sessions: 2,
+                ..SessionConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    server.query_in_session("a", QueryRequest::question(&qs[0]));
+    server.query_in_session("b", QueryRequest::question(&qs[1]));
+    assert!(server.session_kb_json("a").is_some());
+    assert_eq!(server.session_kb_json("nobody"), None);
+    server.query_in_session("c", QueryRequest::question(&qs[2]));
+    let mut ids = server.session_ids();
+    ids.sort();
+    assert_eq!(ids, ["b", "c"], "a stayed the least recently used");
+    assert_eq!(server.stats().sessions.created, 3);
+    server.shutdown();
+}
+
 /// The serving layer's session TTL: an idle session expires and its id
 /// starts cold on the next query, with the eviction counted.
 #[test]

@@ -18,7 +18,8 @@
 //!   parallel, turns on one session serialize), with **byte-budgeted LRU
 //!   eviction** across sessions and an opportunistic **TTL sweep** for
 //!   idle ones. An evicted id starts cold on its next use — stale state
-//!   is never resurrected;
+//!   is never resurrected — and every eviction reaches the store's
+//!   eviction hook, which is how a turn journal learns of it;
 //! * [`PrefixForest`] — the process-wide registry of **frozen, shared KB
 //!   prefixes**: the first session to build a given opening document
 //!   sequence freezes it into immutable `Arc`-shared layers, and every
@@ -42,6 +43,6 @@ pub mod session;
 pub mod stats;
 
 pub use forest::{ForestConfig, ForestStats, PrefixForest};
-pub use manager::{SessionConfig, SessionManager};
+pub use manager::{Residency, SessionConfig, SessionManager};
 pub use session::{SessionKb, TurnReport};
 pub use stats::SessionStats;

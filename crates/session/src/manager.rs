@@ -5,6 +5,7 @@ use crate::session::{SessionKb, TurnReport};
 use crate::stats::SessionStats;
 use qkb_obs::{Counter, Recorder, Registry};
 use qkb_util::FxHashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -39,10 +40,53 @@ impl Default for SessionConfig {
     }
 }
 
+/// What [`SessionManager::with_eviction_hook`] calls with an evicted id.
+type EvictionHook = Box<dyn Fn(&str) + Send + Sync>;
+
+/// One session's KB behind its own lock, plus the flag the store sets
+/// when it evicts the slot.
+struct Slot {
+    kb: Mutex<SessionKb>,
+    /// Set under the store lock, before the eviction is reported.
+    evicted: AtomicBool,
+}
+
+impl Slot {
+    fn new(kb: SessionKb) -> Self {
+        Self {
+            kb: Mutex::new(kb),
+            evicted: AtomicBool::new(false),
+        }
+    }
+}
+
+/// What a turn run by [`SessionManager::with_turn`] knows of its slot:
+/// whether the store has evicted it since the turn claimed it.
+pub struct Residency<'a> {
+    slot: &'a Slot,
+    order: &'a Mutex<()>,
+}
+
+impl Residency<'_> {
+    /// Runs `report` unless the store has evicted this turn's slot, and
+    /// says whether it ran. The check and `report` hold the lock the
+    /// eviction hook runs under, so what `report` records lands before
+    /// the slot's eviction report or not at all: a turn that commits on a
+    /// slot evicted while it ran is never recorded after that eviction.
+    pub fn if_resident(&self, report: impl FnOnce()) -> bool {
+        let _order = self.order.lock().expect("report order");
+        let resident = !self.slot.evicted.load(Ordering::Relaxed);
+        if resident {
+            report();
+        }
+        resident
+    }
+}
+
 /// One resident session: its independently locked KB slot plus the
 /// bookkeeping the manager needs without taking that lock.
 struct Entry {
-    slot: Arc<Mutex<SessionKb>>,
+    slot: Arc<Slot>,
     /// Weight last observed after a turn (the slot lock is *not* held
     /// while the manager accounts, so this trails an in-flight extend —
     /// the budget is enforced when the turn completes).
@@ -79,6 +123,12 @@ struct Inner {
 /// The store's counters are handles into a metrics registry (named
 /// `serve_session_*_total`); its occupancy is read from the live store
 /// when a snapshot is taken ([`SessionManager::gauges`]).
+///
+/// Every eviction, TTL or pressure, reaches the hook set by
+/// [`SessionManager::with_eviction_hook`]. The hook and
+/// [`Residency::if_resident`] run under one report lock, taken inside
+/// the store lock (an eviction) or inside a slot lock (a turn's report);
+/// the store lock and a slot lock are never held together.
 pub struct SessionManager {
     inner: Mutex<Inner>,
     config: SessionConfig,
@@ -95,6 +145,10 @@ pub struct SessionManager {
     /// Built (and counting) even when disabled, so the forest's metrics
     /// are always registered; sessions use it only when enabled.
     forest: Arc<PrefixForest>,
+    /// Told the id of every evicted session.
+    on_evict: Option<EvictionHook>,
+    /// Orders `on_evict` against [`Residency::if_resident`].
+    report_order: Mutex<()>,
 }
 
 impl SessionManager {
@@ -121,6 +175,8 @@ impl SessionManager {
             docs_deduped: counter("docs_deduped"),
             recorder: Recorder::disabled(),
             forest: Arc::new(PrefixForest::new(config.forest.max_bytes, registry)),
+            on_evict: None,
+            report_order: Mutex::new(()),
         }
     }
 
@@ -136,6 +192,15 @@ impl SessionManager {
         self
     }
 
+    /// Builder: call `hook` with the id of every session the store
+    /// evicts, by TTL or by pressure. The hook runs under the store lock,
+    /// so it hears of an eviction before any turn of a later session with
+    /// the same id can start. It must not call back into the store.
+    pub fn with_eviction_hook(mut self, hook: impl Fn(&str) + Send + Sync + 'static) -> Self {
+        self.on_evict = Some(Box::new(hook));
+        self
+    }
+
     /// The configured policy.
     pub fn config(&self) -> &SessionConfig {
         &self.config
@@ -146,14 +211,37 @@ impl SessionManager {
     /// session and enforces the byte budget. Expired sessions are swept
     /// on the way in, so an id idle past the TTL starts cold here.
     pub fn with_session<R>(&self, id: &str, f: impl FnOnce(&mut SessionKb) -> R) -> R {
+        self.with_turn(id, |kb, _| f(kb))
+    }
+
+    /// [`SessionManager::with_session`] for a turn that reports its
+    /// commit: `f` also gets the slot's [`Residency`], which reports only
+    /// while the store still holds the slot.
+    pub fn with_turn<R>(&self, id: &str, f: impl FnOnce(&mut SessionKb, &Residency<'_>) -> R) -> R {
         let slot = self.claim(id);
         let (result, bytes, turn) = {
-            let mut kb = slot.lock().expect("session slot");
-            let result = f(&mut kb);
+            let mut kb = slot.kb.lock().expect("session slot");
+            let residency = Residency {
+                slot: &slot,
+                order: &self.report_order,
+            };
+            let result = f(&mut kb, &residency);
             (result, kb.approx_bytes(), kb.turns())
         };
         self.reweigh(id, &slot, bytes, turn);
         result
+    }
+
+    /// Runs `f` on the KB of resident session `id`; `None` when there is
+    /// none. A read is not a use: it never creates, touches or evicts a
+    /// session.
+    pub fn peek<R>(&self, id: &str, f: impl FnOnce(&SessionKb) -> R) -> Option<R> {
+        let slot = {
+            let inner = self.inner.lock().expect("session manager");
+            inner.sessions.get(id)?.slot.clone()
+        };
+        let kb = slot.kb.lock().expect("session slot");
+        Some(f(&kb))
     }
 
     /// Folds one turn's outcome into the stats counters (the serving
@@ -188,20 +276,7 @@ impl SessionManager {
         self.len() == 0
     }
 
-    /// True when `id` maps to a resident session right now (it may still
-    /// be idle past the TTL — it would start cold on its next claim).
-    pub fn contains(&self, id: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("session manager")
-            .sessions
-            .contains_key(id)
-    }
-
     /// Ids of the sessions resident right now, in no particular order.
-    /// An explicit journal compaction keeps only these sessions'
-    /// records; the journal's automatic snapshots pass no such set and
-    /// keep every session's, evicted ones included.
     pub fn ids(&self) -> Vec<String> {
         self.inner
             .lock()
@@ -237,7 +312,7 @@ impl SessionManager {
     }
 
     /// Fetches (or creates) the session slot, touching its LRU position.
-    fn claim(&self, id: &str) -> Arc<Mutex<SessionKb>> {
+    fn claim(&self, id: &str) -> Arc<Slot> {
         let now = Instant::now();
         let mut inner = self.inner.lock().expect("session manager");
         self.sweep_locked(&mut inner, now, false);
@@ -259,11 +334,7 @@ impl SessionManager {
         if stale {
             let entry = inner.sessions.remove(id).expect("stale resident");
             inner.total_bytes -= entry.bytes;
-            self.evicted_ttl.inc();
-            self.recorder.instant("session_evict", |f| {
-                f.push(("reason", "ttl".into()));
-                f.push(("session", id.to_string().into()));
-            });
+            self.note_eviction(id, &entry.slot, true);
         }
         if self.config.max_sessions > 0 {
             while inner.sessions.len() >= self.config.max_sessions {
@@ -277,7 +348,7 @@ impl SessionManager {
             None => SessionKb::new(),
         };
         let bytes = session.approx_bytes();
-        let slot = Arc::new(Mutex::new(session));
+        let slot = Arc::new(Slot::new(session));
         inner.total_bytes += bytes;
         inner.sessions.insert(
             id.to_string(),
@@ -301,7 +372,7 @@ impl SessionManager {
     /// overwrite a newer one and under-count the budget) — refreshes the
     /// idle clock so a turn longer than the TTL does not expire the
     /// session it just extended, then enforces the byte budget.
-    fn reweigh(&self, id: &str, slot: &Arc<Mutex<SessionKb>>, bytes: u64, turn: u64) {
+    fn reweigh(&self, id: &str, slot: &Arc<Slot>, bytes: u64, turn: u64) {
         let mut inner = self.inner.lock().expect("session manager");
         let inner = &mut *inner;
         if let Some(entry) = inner.sessions.get_mut(id) {
@@ -334,11 +405,7 @@ impl SessionManager {
             Some(id) => {
                 let entry = inner.sessions.remove(&id).expect("victim resident");
                 inner.total_bytes -= entry.bytes;
-                self.evicted_pressure.inc();
-                self.recorder.instant("session_evict", |f| {
-                    f.push(("reason", "pressure".into()));
-                    f.push(("session", id.into()));
-                });
+                self.note_eviction(&id, &entry.slot, false);
                 true
             }
             None => false,
@@ -355,19 +422,34 @@ impl SessionManager {
             return;
         }
         inner.next_sweep = now + ttl / 4;
-        let (evicted_ttl, total_bytes) = (&self.evicted_ttl, &mut inner.total_bytes);
-        let recorder = &self.recorder;
+        let total_bytes = &mut inner.total_bytes;
         inner.sessions.retain(|id, entry| {
             let live = now.duration_since(entry.last_used) <= ttl;
             if !live {
                 *total_bytes -= entry.bytes;
-                evicted_ttl.inc();
-                recorder.instant("session_evict", |f| {
-                    f.push(("reason", "ttl".into()));
-                    f.push(("session", id.clone().into()));
-                });
+                self.note_eviction(id, &entry.slot, true);
             }
             live
+        });
+    }
+
+    /// Marks an evicted slot, counts the eviction and reports it to the
+    /// hook. Runs under the store lock, like every eviction.
+    fn note_eviction(&self, id: &str, slot: &Slot, ttl: bool) {
+        slot.evicted.store(true, Ordering::Relaxed);
+        if let Some(hook) = &self.on_evict {
+            let _order = self.report_order.lock().expect("report order");
+            hook(id);
+        }
+        let (counter, reason) = if ttl {
+            (&self.evicted_ttl, "ttl")
+        } else {
+            (&self.evicted_pressure, "pressure")
+        };
+        counter.inc();
+        self.recorder.instant("session_evict", |f| {
+            f.push(("reason", reason.into()));
+            f.push(("session", id.to_string().into()));
         });
     }
 }
@@ -465,9 +547,33 @@ mod tests {
         assert_eq!(m.stats().approx_bytes, base + 120);
         // An observation against a slot the id no longer maps to (the
         // eviction-raced orphan) is discarded entirely.
-        let orphan = std::sync::Arc::new(std::sync::Mutex::new(crate::SessionKb::new()));
+        let orphan = Arc::new(Slot::new(SessionKb::new()));
         m.reweigh("a", &orphan, base + 999, 5);
         assert_eq!(m.stats().approx_bytes, base + 120);
+    }
+
+    #[test]
+    fn every_eviction_reaches_the_hook() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sink = log.clone();
+        let m = manager(SessionConfig {
+            max_sessions: 2,
+            max_bytes: 0,
+            ttl: Duration::from_millis(200),
+            ..Default::default()
+        })
+        .with_eviction_hook(move |id| sink.lock().unwrap().push(id.to_string()));
+        m.with_session("a", |_| ());
+        m.with_session("b", |_| ());
+        m.with_session("c", |_| ()); // the cap evicts a
+        assert_eq!(*log.lock().unwrap(), ["a"]);
+        std::thread::sleep(Duration::from_millis(300));
+        m.sweep(); // the TTL expires b and c
+        let mut swept = log.lock().unwrap().split_off(1);
+        swept.sort();
+        assert_eq!(swept, ["b", "c"]);
+        let stats = m.stats();
+        assert_eq!((stats.evicted_pressure, stats.evicted_ttl), (1, 2));
     }
 
     #[test]

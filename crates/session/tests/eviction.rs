@@ -220,7 +220,7 @@ fn evicting_a_forked_session_leaves_sibling_forks_readable() {
     // shared prefix.
     manager.with_session("c", |_| ());
     assert_eq!(manager.stats().evicted_pressure, 1);
-    assert!(!manager.contains("a"));
+    assert!(manager.peek("a", |_| ()).is_none());
     // "b" still reads (and extends) the shared layers untouched.
     let (docs, report) = manager.with_session("b", |s| {
         assert_eq!(s.kb().n_docs(), 2);
