@@ -27,8 +27,7 @@
 use qkb_bench::{build_fixture, clone_repo, Table};
 use qkb_qa::QaSystem;
 use qkb_serve::{
-    ForestConfig, QkbServer, QueryEngine, QueryRequest, ServeConfig, ServeStats, Served,
-    SessionConfig,
+    QkbServer, QueryEngine, QueryRequest, ServeConfig, ServeStats, Served, SessionConfig,
 };
 use qkb_util::json::Value;
 use qkbfly::Qkbfly;
@@ -128,8 +127,9 @@ struct ConfigRun {
 /// Opens all `sessions` (timed, one closed loop — latency, not
 /// throughput, is the headline), then plays each session's private
 /// delta turn, then snapshots resident bytes: owned session KBs plus
-/// the forest's shared layers, counted once.
-fn run_config(engine: &Arc<TopicEngine>, assignment: &[usize], forest: bool) -> ConfigRun {
+/// the forest's shared layers, counted once. A zero `forest_bytes`
+/// turns the forest off.
+fn run_config(engine: &Arc<TopicEngine>, assignment: &[usize], forest_bytes: u64) -> ConfigRun {
     let server = QkbServer::start(
         engine.clone(),
         ServeConfig {
@@ -137,10 +137,7 @@ fn run_config(engine: &Arc<TopicEngine>, assignment: &[usize], forest: bool) -> 
             cache_capacity: 0,
             stage1_cache_bytes: 0,
             session: SessionConfig {
-                forest: ForestConfig {
-                    enabled: forest,
-                    ..ForestConfig::default()
-                },
+                forest_bytes,
                 ..SessionConfig::default()
             },
             ..ServeConfig::default()
@@ -226,8 +223,8 @@ fn main() {
          Zipf shares {shares:?}, one private delta doc per session\n"
     );
 
-    let off = run_config(&engine, &assignment, false);
-    let on = run_config(&engine, &assignment, true);
+    let off = run_config(&engine, &assignment, 0);
+    let on = run_config(&engine, &assignment, SessionConfig::default().forest_bytes);
 
     // --- determinism: forked sessions answer byte-identically to the
     // private rebuilds of the forest-off run, opening and delta turns ---

@@ -1,22 +1,23 @@
-//! **Resolve-stage microbench** — monolithic serial NED+CR vs
-//! component-decomposed parallel resolve with candidate pruning and
-//! greedy warm start, with byte-identity cross-checks (the decomposed
-//! KB must equal the monolithic KB at every `resolve_parallelism`).
+//! **Resolve-stage microbench** — monolithic NED+CR vs the
+//! component-decomposed resolve with candidate pruning and greedy warm
+//! start, with a byte-identity cross-check (the decomposed KB must equal
+//! the monolithic KB).
 //!
 //! Run: `cargo run -p qkb_bench --release --bin bench_resolve
 //!       [-- --quick] [-- --docs N] [-- --out FILE.json]`
 //!
-//! Two arms:
+//! Two arms, each timing the decomposed path production runs against its
+//! monolithic baseline:
 //! * **greedy** — the production solver. Baseline: whole-document
 //!   densification (`resolve_decomposition = false`). Fast: coupling
-//!   components solved on 8 workers.
+//!   components solved one after another with lazy rescoring.
 //! * **ilp** — the exact Appendix-A solver on a smaller doc set.
 //!   Baseline: one monolithic program, no pruning, cold branch-and-bound.
 //!   Fast: per-component programs with dominated candidates pruned and
 //!   the greedy incumbent warm-starting the search.
 //!
 //! The JSON report (default `BENCH_resolve.json`) records `resolve_us`,
-//! `ilp_variables` and `bnb_nodes` series per parallelism; all arms
+//! `ilp_variables` and `bnb_nodes` of both sides of each arm; both arms
 //! assert the ≥2x speedup bar that CI enforces.
 
 use qkb_bench::{build_fixture, Table};
@@ -66,86 +67,56 @@ fn run_arm(sys: &Qkbfly, docs: &[String], reps: usize) -> ArmRun {
     }
 }
 
-struct Arm {
-    parallelism: usize,
-    run: ArmRun,
-}
-
-/// One solver arm: monolithic baseline + decomposed runs at
-/// `resolve_parallelism` 1/2/8, all byte-identical. Returns
-/// `(baseline, decomposed_arms)`.
-fn bench_solver(
-    base_sys: &Qkbfly,
-    docs: &[String],
-    reps: usize,
-    label: &str,
-) -> (ArmRun, Vec<Arm>) {
-    let monolithic = base_sys.with_config_override(|c| {
-        c.resolve_decomposition = false;
-    });
+/// One solver arm: the monolithic baseline and the decomposed path,
+/// which must build the byte-identical KB. Returns
+/// `(baseline, decomposed)`.
+fn bench_solver(base_sys: &Qkbfly, docs: &[String], reps: usize, label: &str) -> (ArmRun, ArmRun) {
+    let monolithic = base_sys.with_config_override(|c| c.resolve_decomposition = false);
     let baseline = run_arm(&monolithic, docs, reps);
-
-    let mut arms = Vec::new();
-    for parallelism in [1usize, 2, 8] {
-        let sys = base_sys.with_config_override(|c| {
-            c.resolve_decomposition = true;
-            c.resolve_parallelism = parallelism;
-        });
-        let run = run_arm(&sys, docs, reps);
-        assert_eq!(
-            run.fingerprint, baseline.fingerprint,
-            "{label}: decomposed KB at resolve_parallelism={parallelism} diverged from the \
-             monolithic KB — determinism bug"
-        );
-        arms.push(Arm { parallelism, run });
-    }
-    (baseline, arms)
+    let decomposed = base_sys.with_config_override(|c| c.resolve_decomposition = true);
+    let fast = run_arm(&decomposed, docs, reps);
+    assert_eq!(
+        fast.fingerprint, baseline.fingerprint,
+        "{label}: decomposed KB diverged from the monolithic KB — determinism bug"
+    );
+    (baseline, fast)
 }
 
-fn arm_json(label: &str, docs: usize, baseline: &ArmRun, arms: &[Arm], bar: f64) -> Value {
-    let fast = arms.last().expect("arms");
-    let headline = baseline.resolve_s / fast.run.resolve_s;
-    let series = arms.iter().map(|a| {
-        Value::object()
-            .with("resolve_parallelism", a.parallelism)
-            .with("resolve_us", a.run.resolve_s * 1e6)
-            .with("speedup", baseline.resolve_s / a.run.resolve_s)
-            .with("components", a.run.counters.components)
-            .with("ilp_variables", a.run.counters.ilp_variables)
-            .with("bnb_nodes", a.run.counters.bnb_nodes)
-            .with("pruned_candidates", a.run.counters.pruned_candidates)
-    });
+fn run_json(run: &ArmRun) -> Value {
+    Value::object()
+        .with("resolve_us", run.resolve_s * 1e6)
+        .with("components", run.counters.components)
+        .with("ilp_variables", run.counters.ilp_variables)
+        .with("bnb_nodes", run.counters.bnb_nodes)
+        .with("pruned_candidates", run.counters.pruned_candidates)
+}
+
+fn arm_json(label: &str, docs: usize, baseline: &ArmRun, fast: &ArmRun, bar: f64) -> Value {
+    let headline = baseline.resolve_s / fast.resolve_s;
     println!(
-        "\n{label}: {headline:.2}x over monolithic serial (bar: {bar:.1}x) — \
+        "\n{label}: {headline:.2}x over monolithic (bar: {bar:.1}x) — \
          {} -> {} ILP vars, {} -> {} bnb nodes",
         baseline.counters.ilp_variables,
-        fast.run.counters.ilp_variables,
+        fast.counters.ilp_variables,
         baseline.counters.bnb_nodes,
-        fast.run.counters.bnb_nodes,
+        fast.counters.bnb_nodes,
     );
     assert!(
         headline >= bar,
         "{label}: resolve speedup {headline:.2}x is below the {bar:.1}x bar \
          (baseline {:.1} ms vs decomposed {:.1} ms)",
         baseline.resolve_s * 1e3,
-        fast.run.resolve_s * 1e3,
+        fast.resolve_s * 1e3,
     );
     Value::object()
         .with("docs", docs)
-        .with(
-            "baseline",
-            Value::object()
-                .with("resolve_us", baseline.resolve_s * 1e6)
-                .with("components", baseline.counters.components)
-                .with("ilp_variables", baseline.counters.ilp_variables)
-                .with("bnb_nodes", baseline.counters.bnb_nodes),
-        )
-        .with("series", Value::array(series))
+        .with("baseline", run_json(baseline))
+        .with("decomposed", run_json(fast))
         .with("speedup", headline)
         .with("deterministic", true)
 }
 
-fn print_arms(title: &str, baseline: &ArmRun, arms: &[Arm]) {
+fn print_arms(title: &str, baseline: &ArmRun, fast: &ArmRun) {
     let mut table = Table::new([
         "Arm",
         "Resolve wall-clock",
@@ -155,24 +126,15 @@ fn print_arms(title: &str, baseline: &ArmRun, arms: &[Arm]) {
         "B&B nodes",
         "Pruned",
     ]);
-    table.row([
-        format!("{title} monolithic"),
-        format!("{:.1} ms", baseline.resolve_s * 1e3),
-        "1.00x".to_string(),
-        baseline.counters.components.to_string(),
-        baseline.counters.ilp_variables.to_string(),
-        baseline.counters.bnb_nodes.to_string(),
-        baseline.counters.pruned_candidates.to_string(),
-    ]);
-    for a in arms {
+    for (name, run) in [("monolithic", baseline), ("decomposed", fast)] {
         table.row([
-            format!("{title} decomposed x{}", a.parallelism),
-            format!("{:.1} ms", a.run.resolve_s * 1e3),
-            format!("{:.2}x", baseline.resolve_s / a.run.resolve_s),
-            a.run.counters.components.to_string(),
-            a.run.counters.ilp_variables.to_string(),
-            a.run.counters.bnb_nodes.to_string(),
-            a.run.counters.pruned_candidates.to_string(),
+            format!("{title} {name}"),
+            format!("{:.1} ms", run.resolve_s * 1e3),
+            format!("{:.2}x", baseline.resolve_s / run.resolve_s),
+            run.counters.components.to_string(),
+            run.counters.ilp_variables.to_string(),
+            run.counters.bnb_nodes.to_string(),
+            run.counters.pruned_candidates.to_string(),
         ]);
     }
     table.print();
@@ -186,7 +148,7 @@ fn main() {
         .unwrap_or(if quick { 4 } else { 12 });
     let reps = if quick { 3 } else { 5 };
 
-    println!("== resolve stage: monolithic serial vs decomposed parallel ==");
+    println!("== resolve stage: monolithic vs decomposed ==");
     let fx = build_fixture();
     let stats = fx.stats();
 
@@ -207,12 +169,12 @@ fn main() {
                 .join("\n\n")
         })
         .collect();
-    // Document-level fan-out pinned to 1 so the resolve knob is the only
-    // difference between arms.
+    // Document-level fan-out pinned to 1 so decomposition is the only
+    // difference between the two sides.
     let mut greedy_sys = fx.system(stats, Variant::Joint, SolverKind::Greedy);
     greedy_sys.config_mut().parallelism = 1;
-    let (greedy_base, greedy_arms) = bench_solver(&greedy_sys, &docs, reps, "greedy");
-    print_arms("greedy", &greedy_base, &greedy_arms);
+    let (greedy_base, greedy_fast) = bench_solver(&greedy_sys, &docs, reps, "greedy");
+    print_arms("greedy", &greedy_base, &greedy_fast);
 
     // --- ILP arm: two-page *news* documents — alias-ambiguous mentions
     // (repeated surnames) make the joint-rel expansion and the
@@ -234,11 +196,11 @@ fn main() {
         .collect();
     let mut ilp_sys = fx.system(fx.stats(), Variant::Joint, SolverKind::Ilp);
     ilp_sys.config_mut().parallelism = 1;
-    let (ilp_base, ilp_arms) = bench_solver(&ilp_sys, &ilp_docs, reps, "ilp");
-    print_arms("ilp", &ilp_base, &ilp_arms);
+    let (ilp_base, ilp_fast) = bench_solver(&ilp_sys, &ilp_docs, reps, "ilp");
+    print_arms("ilp", &ilp_base, &ilp_fast);
 
-    let greedy_json = arm_json("greedy", docs.len(), &greedy_base, &greedy_arms, 2.0);
-    let ilp_json = arm_json("ilp", ilp_docs.len(), &ilp_base, &ilp_arms, 2.0);
+    let greedy_json = arm_json("greedy", docs.len(), &greedy_base, &greedy_fast, 2.0);
+    let ilp_json = arm_json("ilp", ilp_docs.len(), &ilp_base, &ilp_fast, 2.0);
 
     let report = Value::object()
         .with("bench", "resolve")

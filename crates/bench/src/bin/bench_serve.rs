@@ -173,13 +173,13 @@ fn main() {
     println!("determinism: OK (served == offline cold build at 1 and 4 shards)\n");
 
     let shards = 4;
-    // --- baseline: no cache, no coalescing, no batching ---
+    // --- baseline: no cache, no coalescing (both off at capacity 0),
+    // no batching ---
     let baseline_server = QkbServer::start(
         sys.clone(),
         ServeConfig {
             shards,
             cache_capacity: 0,
-            coalesce: false,
             batch_max: 1,
             ..ServeConfig::default()
         },
@@ -187,6 +187,10 @@ fn main() {
     let (base_wall, mut base_lat) = run_workload(&baseline_server, &questions, clients, reps);
     let baseline_stats = baseline_server.stats();
     baseline_server.shutdown();
+    assert_eq!(
+        baseline_stats.inflight_coalesced, 0,
+        "the cache-off baseline must not share in-flight builds"
+    );
 
     // --- full serving configuration, warmed ---
     let served_server = QkbServer::start(
@@ -194,7 +198,6 @@ fn main() {
         ServeConfig {
             shards,
             cache_capacity: 64,
-            coalesce: true,
             batch_max: 8,
             ..ServeConfig::default()
         },

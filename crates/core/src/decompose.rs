@@ -22,9 +22,11 @@
 //!   order) picks the same assignment per component either way.
 //!
 //! Components are enumerated in order of their first member's position
-//! in `mentions`, and members keep their `mentions` order, so the
-//! recombined output is byte-for-byte what the monolithic solve
-//! produces at any `resolve_parallelism`.
+//! in `mentions`, and members keep their `mentions` order. They are
+//! solved in that order on the calling thread, and the recombined
+//! output is byte-for-byte what the monolithic solve produces. A
+//! component solves in tens of microseconds, so fanning the solves out
+//! over threads would cost more than it saves.
 
 use crate::densify::{densify_deferred, DensifyOutcome, MentionResolution};
 use crate::graph::{EdgeKind, NodeId, SemanticGraph};
@@ -32,7 +34,7 @@ use crate::ilp::{resolve_ilp_subset, IlpOutcome, IlpSolveOptions};
 use crate::weights::WeightModel;
 use qkb_kb::{BackgroundStats, EntityRepository};
 use qkb_obs::Recorder;
-use qkb_util::{par_map_ordered, FxHashMap};
+use qkb_util::FxHashMap;
 
 /// Splits `mentions` into the connected components of the coupling
 /// graph (live `sameAs` + relation edges with both endpoints in
@@ -81,20 +83,18 @@ pub fn decompose(graph: &SemanticGraph, mentions: &[NodeId]) -> Vec<Vec<NodeId>>
     components
 }
 
-/// Greedy densification, component-decomposed and fanned out over
-/// `workers` threads. Every per-component solve uses the lazy
-/// (memoized-contribution) greedy loop — byte-identical to the naive
-/// loop, see `densify_deferred`. Edge kills are buffered per component
-/// and applied serially in component order after the join, so the graph
-/// mutation is deterministic. Returns the combined outcome and the
-/// component count.
+/// Greedy densification, component-decomposed. Every per-component
+/// solve uses the lazy (memoized-contribution) greedy loop —
+/// byte-identical to the naive loop, see `densify_deferred`. Every
+/// component solves against the unmodified graph; the edge kills are
+/// buffered per component and applied in component order after the
+/// last solve. Returns the combined outcome and the component count.
 pub fn densify_decomposed(
     graph: &mut SemanticGraph,
     mentions: &[NodeId],
     model: &WeightModel,
     stats: &BackgroundStats,
     repo: &EntityRepository,
-    workers: usize,
     recorder: &Recorder,
 ) -> (DensifyOutcome, usize) {
     let components = decompose(graph, mentions);
@@ -110,16 +110,16 @@ pub fn densify_decomposed(
         }
         return (outcome, n);
     }
-    let parent = recorder.current();
-    let results = {
-        let g: &SemanticGraph = graph;
-        par_map_ordered(&components, workers, |i, comp| {
-            let mut span = recorder.span_at("resolve_component", parent);
+    let results: Vec<_> = components
+        .iter()
+        .enumerate()
+        .map(|(i, comp)| {
+            let mut span = recorder.span("resolve_component");
             span.field("component", i);
             span.field("mentions", comp.len());
-            densify_deferred(g, comp, model, stats, repo, true)
+            densify_deferred(graph, comp, model, stats, repo, true)
         })
-    };
+        .collect();
     let n = components.len();
     let mut outcome = DensifyOutcome::default();
     for (part, kills) in results {
@@ -133,19 +133,17 @@ pub fn densify_decomposed(
     (outcome, n)
 }
 
-/// ILP resolution, component-decomposed and fanned out over `workers`
-/// threads. Mirrors the monolithic solve exactly: if **any** component
-/// is infeasible the whole document reports infeasible with every
-/// mention zeroed, matching what the single big program would return.
-/// Variable/node/pruning counters are summed across components.
-#[allow(clippy::too_many_arguments)]
+/// ILP resolution, component-decomposed. Mirrors the monolithic solve
+/// exactly: if **any** component is infeasible the whole document
+/// reports infeasible with every mention zeroed, matching what the
+/// single big program would return. Variable/node/pruning counters are
+/// summed across components.
 pub(crate) fn resolve_ilp_decomposed(
     graph: &SemanticGraph,
     mentions: &[NodeId],
     model: &WeightModel,
     stats: &BackgroundStats,
     repo: &EntityRepository,
-    workers: usize,
     opts: IlpSolveOptions,
     recorder: &Recorder,
 ) -> (IlpOutcome, usize) {
@@ -158,13 +156,16 @@ pub(crate) fn resolve_ilp_decomposed(
         let out = resolve_ilp_subset(graph, mentions, model, stats, repo, opts);
         return (out, n);
     }
-    let parent = recorder.current();
-    let parts = par_map_ordered(&components, workers, |i, comp| {
-        let mut span = recorder.span_at("resolve_component", parent);
-        span.field("component", i);
-        span.field("mentions", comp.len());
-        resolve_ilp_subset(graph, comp, model, stats, repo, opts)
-    });
+    let parts: Vec<IlpOutcome> = components
+        .iter()
+        .enumerate()
+        .map(|(i, comp)| {
+            let mut span = recorder.span("resolve_component");
+            span.field("component", i);
+            span.field("mentions", comp.len());
+            resolve_ilp_subset(graph, comp, model, stats, repo, opts)
+        })
+        .collect();
     let n = components.len();
     let infeasible = parts.iter().any(|p| p.infeasible);
     let mut out = IlpOutcome {
@@ -296,30 +297,27 @@ mod tests {
         let model = WeightModel::default();
         let text = "Marcus Keller plays for Liverpool. He scored against Ashford United. \
                     Ashford United lost again. Keller joined Liverpool in 2014.";
-        for workers in [1usize, 2, 8] {
-            let mut mono = built(&repo, &stats, text);
-            let mentions = mono.mentions.clone();
-            let base = densify(&mut mono.graph, &mentions, &model, &stats, &repo);
+        let mut mono = built(&repo, &stats, text);
+        let mentions = mono.mentions.clone();
+        let base = densify(&mut mono.graph, &mentions, &model, &stats, &repo);
 
-            let mut dec = built(&repo, &stats, text);
-            let mentions = dec.mentions.clone();
-            let (out, n) = densify_decomposed(
-                &mut dec.graph,
-                &mentions,
-                &model,
-                &stats,
-                &repo,
-                workers,
-                &Recorder::disabled(),
-            );
-            assert!(n >= 1);
-            assert_eq!(out.resolutions.len(), base.resolutions.len());
-            for (node, res) in &base.resolutions {
-                let got = &out.resolutions[node];
-                assert_eq!(got.entity, res.entity, "entity @ {node:?} w={workers}");
-                assert_eq!(got.antecedent, res.antecedent);
-                assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
-            }
+        let mut dec = built(&repo, &stats, text);
+        let mentions = dec.mentions.clone();
+        let (out, n) = densify_decomposed(
+            &mut dec.graph,
+            &mentions,
+            &model,
+            &stats,
+            &repo,
+            &Recorder::disabled(),
+        );
+        assert!(n >= 1);
+        assert_eq!(out.resolutions.len(), base.resolutions.len());
+        for (node, res) in &base.resolutions {
+            let got = &out.resolutions[node];
+            assert_eq!(got.entity, res.entity, "entity @ {node:?}");
+            assert_eq!(got.antecedent, res.antecedent);
+            assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
         }
     }
 
@@ -330,32 +328,29 @@ mod tests {
         let text = "Marcus Keller plays for Liverpool. Ashford United lost again.";
         let mono = built(&repo, &stats, text);
         let base = resolve_ilp(&mono.graph, &mono.mentions, &model, &stats, &repo);
-        for workers in [1usize, 2, 8] {
-            let opts = IlpSolveOptions {
-                prune: true,
-                warm_start: true,
-            };
-            let (out, n) = resolve_ilp_decomposed(
-                &mono.graph,
-                &mono.mentions,
-                &model,
-                &stats,
-                &repo,
-                workers,
-                opts,
-                &Recorder::disabled(),
-            );
-            assert!(n > 1);
-            assert_eq!(out.resolutions.len(), base.resolutions.len());
-            for (node, res) in &base.resolutions {
-                let got = &out.resolutions[node];
-                assert_eq!(got.entity, res.entity, "entity @ {node:?} w={workers}");
-                assert_eq!(got.antecedent, res.antecedent);
-                assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
-            }
-            assert!(out.optimal);
-            assert!(out.n_variables <= base.n_variables);
+        let opts = IlpSolveOptions {
+            prune: true,
+            warm_start: true,
+        };
+        let (out, n) = resolve_ilp_decomposed(
+            &mono.graph,
+            &mono.mentions,
+            &model,
+            &stats,
+            &repo,
+            opts,
+            &Recorder::disabled(),
+        );
+        assert!(n > 1);
+        assert_eq!(out.resolutions.len(), base.resolutions.len());
+        for (node, res) in &base.resolutions {
+            let got = &out.resolutions[node];
+            assert_eq!(got.entity, res.entity, "entity @ {node:?}");
+            assert_eq!(got.antecedent, res.antecedent);
+            assert_eq!(got.confidence.to_bits(), res.confidence.to_bits());
         }
+        assert!(out.optimal);
+        assert!(out.n_variables <= base.n_variables);
     }
 
     #[test]

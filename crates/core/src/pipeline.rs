@@ -72,18 +72,10 @@ pub struct QkbflyConfig {
     /// canonicalized KB is byte-identical for every setting (per-document
     /// outputs are merged in document order).
     pub parallelism: usize,
-    /// Worker threads for the **resolve stage** of a single document:
-    /// the coupling graph is decomposed into independent components
-    /// (see [`crate::decompose`]) and component solves fan out over
-    /// this many threads, recombining in deterministic component-index
-    /// order. `0` uses all available cores, `1` solves components
-    /// serially (still decomposed). The resolved output — and hence the
-    /// KB — is **byte-identical** at any setting (property-tested at
-    /// 1/2/8 and gated in CI).
-    pub resolve_parallelism: usize,
     /// Decompose the per-document resolve problem into coupling
-    /// components (on by default). `false` restores the monolithic
-    /// whole-document solve — the cold baseline arm of
+    /// components (see [`crate::decompose`]), solved one after another
+    /// on the calling thread (on by default). `false` restores the
+    /// monolithic whole-document solve — the cold baseline arm of
     /// `bench_resolve` — and disables candidate pruning and the greedy
     /// warm start along with it.
     pub resolve_decomposition: bool,
@@ -100,7 +92,6 @@ impl Default for QkbflyConfig {
             pronoun_window: 5,
             emit_nary: true,
             parallelism: 0,
-            resolve_parallelism: 1,
             resolve_decomposition: true,
         }
     }
@@ -504,13 +495,6 @@ impl Qkbfly {
         self.with_config_override(|c| c.parallelism = workers)
     }
 
-    /// A new handle with the given resolve-stage worker count
-    /// ([`QkbflyConfig::resolve_parallelism`]), sharing the repositories
-    /// with `self`. The built KB is byte-identical at any worker count.
-    pub fn with_resolve_parallelism(&self, workers: usize) -> Self {
-        self.with_config_override(|c| c.resolve_parallelism = workers)
-    }
-
     /// A new handle with arbitrary configuration overrides applied on top
     /// of `self`'s configuration. Repositories, statistics and build
     /// counters stay shared with the parent handle.
@@ -828,7 +812,6 @@ impl Qkbfly {
                         &model,
                         &self.stats,
                         &self.repo,
-                        qkb_util::effective_parallelism(self.config.resolve_parallelism),
                         IlpSolveOptions {
                             prune: true,
                             warm_start: true,
@@ -862,7 +845,6 @@ impl Qkbfly {
                         &model,
                         &self.stats,
                         &self.repo,
-                        qkb_util::effective_parallelism(self.config.resolve_parallelism),
                         &self.recorder,
                     );
                     diag.resolve.components = components as u64;

@@ -34,13 +34,15 @@
 //!
 //! ## Segments, snapshots and truncation
 //!
-//! Appends go to `seg-N.qkj` files, rotated at a size threshold. The
-//! journal keeps its compacted history per live session: the records
-//! since the session's last cold turn. A cold record restarts one
-//! session's history and an eviction record drops it, each in O(1). A
-//! *snapshot* (`snap-N.qkj`) writes that history — the live sessions'
-//! records only, in append order — via tmp-file + rename, after which
-//! all older segments and snapshots are deleted. Recovery reads the
+//! Appends go to `seg-N.qkj` files; a segment ends only when a snapshot
+//! starts a fresh one. The journal keeps its compacted history per live
+//! session: the records since the session's last cold turn. A cold
+//! record restarts one session's history and an eviction record drops
+//! it, each in O(1). A *snapshot* (`snap-N.qkj`) writes that history —
+//! the live sessions' records only, in append order — via tmp-file +
+//! rename, after which all older segments and snapshots are deleted.
+//! With snapshots off (`snapshot_every` 0) every record stays in one
+//! segment, and no file is ever deleted. Recovery reads the
 //! newest intact snapshot plus every segment numbered above it; a torn
 //! tail (truncated or checksum-failing record) ends that file's replay
 //! and is counted, never decoded.
@@ -154,9 +156,6 @@ pub struct JournalConfig {
     /// Directory holding `seg-*.qkj` / `snap-*.qkj` files (created if
     /// missing).
     pub dir: PathBuf,
-    /// Rotate to a fresh segment once the current one exceeds this many
-    /// bytes.
-    pub segment_max_bytes: u64,
     /// Write a snapshot (and truncate older files) every this many turn
     /// records; `0` disables snapshots. Eviction records do not count:
     /// replaying one costs a map removal, not an extend.
@@ -172,12 +171,11 @@ pub struct JournalConfig {
 }
 
 impl JournalConfig {
-    /// Defaults tuned for tests and small deployments: 1 MiB segments,
-    /// snapshot every 256 appends, fsync on.
+    /// Defaults tuned for tests and small deployments: a snapshot (and
+    /// with it a fresh segment) every 256 turn records, fsync on.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            segment_max_bytes: 1 << 20,
             snapshot_every: 256,
             fsync: true,
             max_record_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -199,8 +197,6 @@ struct Inner {
     writer: BufWriter<File>,
     /// Number of the segment currently being appended to.
     seg_no: u64,
-    /// Bytes appended to the current segment.
-    seg_bytes: u64,
     /// Turn records appended since the last snapshot.
     appends_since_snapshot: u64,
     /// Compacted live history — what a snapshot writes.
@@ -254,7 +250,6 @@ pub struct SessionJournal {
     appends: Counter,
     appended_bytes: Counter,
     fsyncs: Counter,
-    rotations: Counter,
     snapshots: Counter,
     snapshot_records: Counter,
     io_errors: Counter,
@@ -271,8 +266,6 @@ pub struct JournalStats {
     pub appended_bytes: u64,
     /// `fsync` calls issued.
     pub fsyncs: u64,
-    /// Segment rotations.
-    pub rotations: u64,
     /// Snapshots written (each truncates older files).
     pub snapshots: u64,
     /// Records written into snapshots: the live sessions' histories.
@@ -287,7 +280,7 @@ pub struct JournalStats {
 }
 
 impl JournalStats {
-    /// The journal's nine counters out of `snap`; panics if the journal
+    /// The journal's eight counters out of `snap`; panics if the journal
     /// never registered them there.
     pub(crate) fn from_snapshot(snap: &RegistrySnapshot) -> Self {
         let c = |name: &str| snap.expect_counter(name);
@@ -295,7 +288,6 @@ impl JournalStats {
             appends: c("journal_appends_total"),
             appended_bytes: c("journal_appended_bytes_total"),
             fsyncs: c("journal_fsyncs_total"),
-            rotations: c("journal_rotations_total"),
             snapshots: c("journal_snapshots_total"),
             snapshot_records: c("journal_snapshot_records_total"),
             torn_tails: c("journal_torn_tails_total"),
@@ -310,7 +302,6 @@ impl JournalStats {
             .with("appends", self.appends)
             .with("appended_bytes", self.appended_bytes)
             .with("fsyncs", self.fsyncs)
-            .with("rotations", self.rotations)
             .with("snapshots", self.snapshots)
             .with("snapshot_records", self.snapshot_records)
             .with("torn_tails", self.torn_tails)
@@ -445,14 +436,12 @@ impl SessionJournal {
             inner: Mutex::new(Inner {
                 writer,
                 seg_no: next,
-                seg_bytes: 0,
                 appends_since_snapshot: 0,
                 history,
             }),
             appends: registry.counter("journal_appends_total"),
             appended_bytes: registry.counter("journal_appended_bytes_total"),
             fsyncs: registry.counter("journal_fsyncs_total"),
-            rotations: registry.counter("journal_rotations_total"),
             snapshots: registry.counter("journal_snapshots_total"),
             snapshot_records: registry.counter("journal_snapshot_records_total"),
             io_errors: registry.counter("journal_io_errors_total"),
@@ -487,7 +476,6 @@ impl SessionJournal {
         if self.config.fsync && turn {
             self.fsync(inner.writer.get_ref())?;
         }
-        inner.seg_bytes += bytes.len() as u64;
         self.appends.inc();
         self.appended_bytes.add(bytes.len() as u64);
         inner.history.apply(rec);
@@ -497,8 +485,6 @@ impl SessionJournal {
             && inner.appends_since_snapshot >= self.config.snapshot_every
         {
             self.snapshot_locked(inner)?;
-        } else if inner.seg_bytes >= self.config.segment_max_bytes {
-            self.rotate_locked(inner)?;
         }
         Ok(())
     }
@@ -522,14 +508,6 @@ impl SessionJournal {
         self.fsync(inner.writer.get_ref())?;
         inner.writer = create_segment(&self.config.dir, n)?;
         inner.seg_no = n;
-        inner.seg_bytes = 0;
-        Ok(())
-    }
-
-    fn rotate_locked(&self, inner: &mut Inner) -> io::Result<()> {
-        self.switch_segment(inner, inner.seg_no + 1)?;
-        self.sync_dir()?;
-        self.rotations.inc();
         Ok(())
     }
 
@@ -724,15 +702,11 @@ mod tests {
         let dir = tmp_dir("snap");
         {
             // The 13th turn record snapshots.
-            let (j, _) = open(&dir, |c| {
-                c.segment_max_bytes = 64;
-                c.snapshot_every = 13;
-            });
+            let (j, _) = open(&dir, |c| c.snapshot_every = 13);
             for t in 1..=6 {
                 j.append(rec("a", t, t == 1, &[t]));
                 j.append(rec("dead", t, t == 1, &[100 + t]));
             }
-            assert!(j.stats().rotations > 0, "tiny segments must rotate");
             j.append(TurnRecord::eviction("dead"));
             assert_eq!(j.stats().snapshots, 0, "eviction records do not count");
             j.append(rec("a", 7, false, &[7]));
@@ -842,23 +816,21 @@ mod tests {
     #[test]
     fn every_fsync_is_counted() {
         // Open creates segment 0 and fsyncs the directory: 1. Then 9
-        // appends of 47-byte frames, 64-byte segments, a snapshot every 4
-        // appends: appends 2 and 6 rotate (2 fsyncs each: the sealed
-        // segment and the directory), appends 4 and 8 snapshot (3 each:
-        // the sealed segment, the snapshot file and the directory).
-        // 1 + 2 * 2 + 2 * 3 = 11, plus one per append with fsync on.
-        for (fsync, expected) in [(false, 11), (true, 11 + 9)] {
+        // appends with a snapshot every 4: appends 4 and 8 snapshot (3
+        // fsyncs each: the sealed segment, the snapshot file and the
+        // directory). 1 + 2 * 3 = 7, plus one per append with fsync on:
+        // 7 + 9 = 16.
+        for (fsync, expected) in [(false, 7), (true, 7 + 9)] {
             let dir = tmp_dir(&format!("fsyncs_{fsync}"));
             let (j, _) = open(&dir, |c| {
                 c.fsync = fsync;
-                c.segment_max_bytes = 64;
                 c.snapshot_every = 4;
             });
             for t in 1..=9 {
                 j.append(rec("s", t, t == 1, &[t]));
             }
             let stats = j.stats();
-            assert_eq!((stats.rotations, stats.snapshots), (2, 2), "{stats:?}");
+            assert_eq!(stats.snapshots, 2, "{stats:?}");
             assert_eq!(stats.fsyncs, expected, "fsync per append: {fsync}");
             j.sync().unwrap();
             assert_eq!(j.stats().fsyncs, expected + 1);

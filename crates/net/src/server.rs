@@ -48,10 +48,14 @@
 //! eviction to the same journal, so recovery returns only the sessions
 //! the store still held; an eviction the replay itself causes (a store
 //! smaller than the one that wrote the journal) is journaled like a live
-//! one. Records whose document texts no longer match the
-//! journaled fingerprint (the corpus changed under the journal) are
-//! dropped, along with the rest of that session's records. Both outcomes
-//! are counted at start (`net_replayed_turns_total`,
+//! one. Replay never revives a session it has evicted: a record that
+//! continues a session the replay's own claims evicted is dropped with
+//! the session's remaining records, so such a session comes back whole
+//! or not at all (replayed alone, the later records would rebuild it
+//! from its last documents only). Records whose document texts no
+//! longer match the journaled fingerprint (the corpus changed under the
+//! journal) are dropped, along with the rest of that session's records.
+//! Both outcomes are counted at start (`net_replayed_turns_total`,
 //! `net_replay_dropped_records_total`).
 //!
 //! ## Metrics
@@ -272,7 +276,10 @@ pub struct NetStats {
     pub queue_depth_peak: i64,
     /// Session turns replayed from the journal at startup.
     pub replayed_turns: u64,
-    /// Journal records dropped at replay (stale fingerprints).
+    /// Journal records dropped at replay: a record whose fingerprint is
+    /// stale, or that continues a session the replay itself evicted (a
+    /// store smaller than the one that wrote the journal), and every
+    /// later record of its session.
     pub replay_dropped_records: u64,
 }
 
@@ -361,9 +368,9 @@ impl<E: QueryEngine> QkbNetServer<E> {
         // `replay_session_turn` does not re-notify the turn log, so the
         // journal is not re-appended for replayed state; the store still
         // reports any eviction the replay causes.
-        let mut stale: std::collections::HashSet<String> = Default::default();
+        let mut dropped: std::collections::HashSet<String> = Default::default();
         for rec in &recovered.turns {
-            if stale.contains(&rec.session_id) {
+            if dropped.contains(&rec.session_id) {
                 counters.replay_dropped.inc();
                 continue;
             }
@@ -374,13 +381,15 @@ impl<E: QueryEngine> QkbNetServer<E> {
             let texts = catch_unwind(AssertUnwindSafe(|| server.engine().doc_texts(&ids))).ok();
             let fresh =
                 texts.filter(|t| qkb_util::fingerprint_seq(t.iter()) == rec.docs_fingerprint);
-            match fresh {
-                Some(texts) => {
-                    server.replay_session_turn(&rec.session_id, &texts);
-                    counters.replayed_turns.inc();
-                }
+            // A record that continues a session the replay has already
+            // evicted is not replayed either: it would start a session
+            // holding only its last records.
+            let replayed = fresh
+                .and_then(|texts| server.replay_session_turn(&rec.session_id, rec.cold, &texts));
+            match replayed {
+                Some(_) => counters.replayed_turns.inc(),
                 None => {
-                    stale.insert(rec.session_id.clone());
+                    dropped.insert(rec.session_id.clone());
                     counters.replay_dropped.inc();
                 }
             }

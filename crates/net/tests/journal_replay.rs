@@ -11,9 +11,13 @@
 //! sessions it evicted: they stay evicted after a crash at any record
 //! boundary, and a turn that commits on an evicted slot is not replayed.
 //!
-//! `crash_replay_matches_uninterrupted_run` and
-//! `ttl_evicted_sessions_stay_evicted_after_a_crash` are re-run by name
-//! in the CI determinism gate.
+//! A restart into a smaller store recovers each session whole or not at
+//! all: the replay never revives a session its own claims evicted.
+//!
+//! `crash_replay_matches_uninterrupted_run`,
+//! `ttl_evicted_sessions_stay_evicted_after_a_crash` and
+//! `a_restart_into_a_smaller_store_recovers_whole_sessions` are re-run
+//! by name in the CI determinism gate.
 
 use proptest::prelude::*;
 use qkb_corpus::questions::trends_test;
@@ -23,7 +27,7 @@ use qkb_net::{JournalConfig, NetClient, NetConfig, QkbNetServer, SessionJournal}
 use qkb_obs::Registry;
 use qkb_qa::QaSystem;
 use qkb_serve::{LoggedTurn, QueryRequest, ServeConfig, Served, TurnLog};
-use qkb_session::{ForestConfig, Residency, SessionConfig, SessionManager};
+use qkb_session::{Residency, SessionConfig, SessionManager};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -193,19 +197,23 @@ proptest! {
     /// recovered server's session KBs are byte-identical to the
     /// uninterrupted server's after the same record. A turn whose claim
     /// evicts the least recently used session journals that eviction
-    /// record first, then its own turn record.
+    /// record first, then its own turn record. A restart at a cap below
+    /// the writing cap may not hold every session, but holds each one
+    /// whole; a second restart at that cap holds the same sessions.
     #[test]
     fn crash_replay_matches_uninterrupted_run(
         turns in proptest::collection::vec((0usize..3, 0usize..6), 2..7),
         max_sessions in 1usize..3,
         cut in 0usize..16,
+        restart_cap in 1usize..3,
     ) {
         let sys = engine();
         let pool = question_pool(&sys);
         let dir = fresh_dir("prop");
-        let config = |dir: Option<&Path>| {
-            let mut config = config_with_journal(dir);
-            config.serve.session.max_sessions = max_sessions;
+        let restart_cap = restart_cap.min(max_sessions);
+        let config = |cap: usize| {
+            let mut config = config_with_journal(Some(&dir));
+            config.serve.session.max_sessions = cap;
             config
         };
 
@@ -213,7 +221,7 @@ proptest! {
         // the server holds after every record it journals.
         let mut after = vec![Held::default()];
         let evictions = {
-            let server = QkbNetServer::start(sys.clone(), config(Some(&dir))).unwrap();
+            let server = QkbNetServer::start(sys.clone(), config(max_sessions)).unwrap();
             let mut client = NetClient::connect(server.local_addr()).unwrap();
             for &(s, q) in &turns {
                 let id = format!("s{s}");
@@ -245,12 +253,29 @@ proptest! {
         truncate(&seg, boundaries[cut_k]);
 
         // Life 2: recover from the truncated journal.
-        let recovered = QkbNetServer::start(sys.clone(), config(Some(&dir))).unwrap();
+        let recovered = QkbNetServer::start(sys.clone(), config(restart_cap)).unwrap();
         let replay = recovered.stats();
-        prop_assert_eq!(replay.replayed_turns, after[cut_k].replayable());
-        prop_assert_eq!(replay.replay_dropped_records, 0);
-        prop_assert_eq!(session_kbs(&recovered, &turns), after[cut_k].kbs(&turns));
+        let kbs = session_kbs(&recovered, &turns);
         drop(recovered);
+        let want = after[cut_k].kbs(&turns);
+        prop_assert_eq!(
+            replay.replayed_turns + replay.replay_dropped_records,
+            after[cut_k].replayable()
+        );
+        if restart_cap == max_sessions {
+            prop_assert_eq!(replay.replay_dropped_records, 0);
+            prop_assert_eq!(&kbs, &want);
+        } else {
+            for ((id, got), (_, held)) in kbs.iter().zip(&want) {
+                prop_assert!(got.is_none() || got == held, "{} came back partial", id);
+            }
+        }
+
+        // Life 3: the replay journaled its own evictions, so a second
+        // restart at the same cap recovers the same sessions.
+        let again = QkbNetServer::start(sys.clone(), config(restart_cap)).unwrap();
+        prop_assert_eq!(session_kbs(&again, &turns), kbs);
+        drop(again);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -418,10 +443,7 @@ fn ttl_evicted_sessions_stay_evicted_after_a_crash() {
         let mut config = config_with_journal(dir);
         config.serve.session = SessionConfig {
             ttl: Duration::from_millis(300),
-            forest: ForestConfig {
-                enabled: false,
-                ..ForestConfig::default()
-            },
+            forest_bytes: 0,
             ..SessionConfig::default()
         };
         config
@@ -480,6 +502,48 @@ fn ttl_evicted_sessions_stay_evicted_after_a_crash() {
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A restart into a store smaller than the one that wrote the journal:
+/// turns s0, s1, s0 under the default cap, then a restart at
+/// `max_sessions` 1. Replaying s1's opening evicts s0, so s0's second
+/// record must not start a fresh s0 holding only that turn's documents:
+/// s0 is absent, s1 is byte-identical to the uninterrupted run's, and a
+/// second restart at the same cap holds the same sessions.
+#[test]
+fn a_restart_into_a_smaller_store_recovers_whole_sessions() {
+    let sys = engine();
+    let pool = question_pool(&sys);
+    let dir = fresh_dir("smaller");
+    let turns = [(0, 0), (1, 1), (0, 2)];
+    let uninterrupted = {
+        let server = QkbNetServer::start(sys.clone(), config_with_journal(Some(&dir))).unwrap();
+        drive(&server, &turns, &pool);
+        session_kbs(&server, &turns)
+    };
+    assert!(uninterrupted.iter().all(|(_, kb)| kb.is_some()));
+    let smaller = || {
+        let mut config = config_with_journal(Some(&dir));
+        config.serve.session.max_sessions = 1;
+        config
+    };
+
+    let recovered = QkbNetServer::start(sys.clone(), smaller()).unwrap();
+    let replay = recovered.stats();
+    let kbs = session_kbs(&recovered, &turns);
+    drop(recovered);
+    // s0's and s1's openings replay; s0's second record is dropped.
+    assert_eq!(
+        (replay.replayed_turns, replay.replay_dropped_records),
+        (2, 1)
+    );
+    assert_eq!(kbs[0], ("s0".into(), None), "s0 is absent, not partial");
+    assert_eq!(kbs[1], uninterrupted[1], "s1 comes back whole");
+
+    let again = QkbNetServer::start(sys.clone(), smaller()).unwrap();
+    assert_eq!(session_kbs(&again, &turns), kbs);
+    drop(again);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A turn that commits on a slot the store evicted while it ran is not
@@ -564,10 +628,7 @@ fn mid_turn_evictions_leave_the_journal_holding_the_served_sessions() {
     config.serve.stage1_cache_bytes = 0;
     config.serve.session = SessionConfig {
         ttl: Duration::from_micros(100),
-        forest: ForestConfig {
-            enabled: false,
-            ..ForestConfig::default()
-        },
+        forest_bytes: 0,
         ..SessionConfig::default()
     };
     let server = QkbNetServer::start(sys.clone(), config).unwrap();

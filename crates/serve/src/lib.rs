@@ -9,8 +9,8 @@
 //! * [`QkbServer`] — N worker shards over an admission queue, each shard
 //!   holding a cheaply cloned `Qkbfly` handle;
 //! * **request coalescing** — concurrent identical normalized queries
-//!   share one in-flight build (in-batch grouping plus a global in-flight
-//!   table across shards);
+//!   share one in-flight build (in-batch grouping plus, while the
+//!   fragment cache is on, a global in-flight table across shards);
 //! * **two-tier cache** — a sharded bounded LRU fragment cache keyed
 //!   by the fingerprint of the query's retrieved-document set (exact-set
 //!   reuse), fronted by a byte-bounded per-document stage-1 cache
@@ -72,7 +72,7 @@ pub mod stats;
 
 pub use cache::{CacheCounters, FragmentCache};
 pub use engine::QueryEngine;
-pub use qkb_session::{ForestConfig, SessionConfig, SessionStats};
+pub use qkb_session::{SessionConfig, SessionStats};
 pub use request::{QueryKind, QueryRequest, QueryResponse, Served};
 pub use server::{LoggedTurn, QkbServer, ServeClient, ServeConfig, TurnLog};
 pub use stage1_cache::{Stage1Cache, Stage1Counters};

@@ -20,9 +20,10 @@
 //!   per-document fan-out, shared across distinct queries), then one
 //!   `extend_kb` fold into an empty KB per group;
 //! * **request coalescing** — identical normalized queries in one batch
-//!   collapse to a single group, and a group whose fragment is already
-//!   being built by another shard waits on that build instead of starting
-//!   a redundant one (a global in-flight table keyed like the cache);
+//!   collapse to a single group, and, while the fragment cache is on, a
+//!   group whose fragment is already being built by another shard waits
+//!   on that build instead of starting a redundant one (a global
+//!   in-flight table keyed like the cache);
 //! * **fragment reuse** — the sharded LRU [`FragmentCache`] is keyed by
 //!   the fingerprint of the retrieved-document set, so *different*
 //!   questions that retrieve the same documents share one fragment;
@@ -137,7 +138,10 @@ pub struct ServeConfig {
     /// Worker shards (each holds a cloned `Qkbfly` handle);
     /// `0` = one per available core, capped at 8.
     pub shards: usize,
-    /// Fragment-cache capacity in fragments; `0` disables the cache.
+    /// Fragment-cache capacity in fragments. `0` disables the cache,
+    /// and with it the sharing of in-flight builds across shards: a
+    /// one-shot miss then builds on its own shard, even while another
+    /// shard builds the same documents.
     pub cache_capacity: usize,
     /// Per-document stage-1 cache capacity in approximate bytes; `0`
     /// disables tier one (every fragment miss becomes a fully cold
@@ -146,15 +150,12 @@ pub struct ServeConfig {
     /// Maximum queued requests a worker takes as one admission batch;
     /// `1` turns batching off.
     pub batch_max: usize,
-    /// Share in-flight builds across shards (off reproduces the
-    /// redundant-build baseline for benchmarks).
-    pub coalesce: bool,
     /// The session store behind [`QkbServer::query_in_session`]: total
     /// byte budget across resident session KBs, idle TTL, session cap,
-    /// and the prefix forest that lets a session opening on a document
-    /// sequence another session already built fork its frozen prefix in
-    /// O(1) (the byte budget then charges each session only its private
-    /// delta).
+    /// and the byte budget of the prefix forest that lets a session
+    /// opening on a document sequence another session already built
+    /// fork its frozen prefix in O(1) (the session byte budget then
+    /// charges each session only its private delta).
     pub session: SessionConfig,
     /// Tracing recorder every request, build and session turn reports
     /// into. The default disabled recorder costs one branch per
@@ -181,7 +182,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("cache_capacity", &self.cache_capacity)
             .field("stage1_cache_bytes", &self.stage1_cache_bytes)
             .field("batch_max", &self.batch_max)
-            .field("coalesce", &self.coalesce)
             .field("session", &self.session)
             .field("recorder", &self.recorder)
             .field("registry", &self.registry)
@@ -197,7 +197,6 @@ impl Default for ServeConfig {
             cache_capacity: 128,
             stage1_cache_bytes: 64 << 20,
             batch_max: 8,
-            coalesce: true,
             session: SessionConfig::default(),
             recorder: Recorder::disabled(),
             registry: Registry::new(),
@@ -642,15 +641,27 @@ impl<E: QueryEngine> QkbServer<E> {
     /// extends are append-only and prefix-stable, replaying a journal's
     /// committed records in order reconstructs each session KB
     /// byte-identically to the uninterrupted run.
+    ///
+    /// A `cold` record starts its session. Any other record continues
+    /// one, so it replays only into a session the store still holds:
+    /// `None`, with nothing created, when the store has evicted the
+    /// session since its earlier records (a store smaller than the one
+    /// that wrote the journal, or the TTL).
     pub fn replay_session_turn(
         &self,
         session_id: &str,
+        cold: bool,
         texts: &[String],
-    ) -> qkb_session::TurnReport {
+    ) -> Option<qkb_session::TurnReport> {
         let qkb = self.shared.build_handle();
-        self.shared.sessions.with_session(session_id, |session| {
-            session.extend(&qkb, &self.shared.stage1, texts)
-        })
+        let extend =
+            |session: &mut qkb_session::SessionKb| session.extend(&qkb, &self.shared.stage1, texts);
+        let sessions = &self.shared.sessions;
+        if cold {
+            Some(sessions.with_session(session_id, extend))
+        } else {
+            sessions.with_resident(session_id, extend)
+        }
     }
 
     /// Stops accepting queries, drains the queue, joins the shards.
@@ -746,6 +757,9 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
     // counters, private parallelism knob — no `&mut` on a shared handle.
     let qkb = shared.build_handle();
     let recorder = &config.recorder;
+    // In-flight builds are shared across shards exactly when the
+    // fragment tier is on.
+    let coalesce = shared.cache.is_enabled();
     loop {
         let jobs = shared.queue.pop_batch(config.batch_max);
         if jobs.is_empty() {
@@ -834,7 +848,7 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                 // in-flight lock and may still turn out a hit.
                 let claim = match shared.cache.lookup(fkey) {
                     Some(frag) => Claim::Cached(frag),
-                    None if config.coalesce => shared.inflight.claim(fkey, &shared.cache),
+                    None if coalesce => shared.inflight.claim(fkey, &shared.cache),
                     None => Claim::Leader,
                 };
                 shared.cache.count(matches!(claim, Claim::Cached(_)));
@@ -849,14 +863,7 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                         )));
                     }
                     Claim::Leader => {
-                        note_lookup(
-                            if config.coalesce {
-                                "lead_build"
-                            } else {
-                                "build"
-                            },
-                            "stage1",
-                        );
+                        note_lookup(if coalesce { "lead_build" } else { "build" }, "stage1");
                         // Abandoning a key nobody claimed is a no-op.
                         claimed.push(fkey);
                         build_meta.push((gi, fkey));
@@ -884,13 +891,11 @@ fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
                 for ((&(gi, fkey), fragment), docs) in
                     build_meta.iter().zip(fragments).zip(&doc_groups)
                 {
-                    if config.coalesce {
-                        shared
-                            .inflight
-                            .publish(fkey, fragment.clone(), &shared.cache);
-                    } else {
-                        shared.cache.insert(fkey, fragment.clone());
-                    }
+                    // Without a claim (coalescing off) this is the cache
+                    // insert alone.
+                    shared
+                        .inflight
+                        .publish(fkey, fragment.clone(), &shared.cache);
                     resolutions[gi] = Some(Resolution::Ready(
                         fragment,
                         Served::ColdBuild,

@@ -805,7 +805,6 @@ const NET_SERIES: &[(&str, &str)] = &[
     ("journal.appends", "journal_appends_total"),
     ("journal.appended_bytes", "journal_appended_bytes_total"),
     ("journal.fsyncs", "journal_fsyncs_total"),
-    ("journal.rotations", "journal_rotations_total"),
     ("journal.snapshots", "journal_snapshots_total"),
     ("journal.snapshot_records", "journal_snapshot_records_total"),
     ("journal.torn_tails", "journal_torn_tails_total"),

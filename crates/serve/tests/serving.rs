@@ -4,7 +4,9 @@
 //!    coalesced build) are byte-identical to cold-build answers, at any
 //!    shard count;
 //! 2. **coalescing** — K concurrent identical queries trigger exactly one
-//!    `build_kb` (counted through the shared `BuildCounters` hook);
+//!    `build_kb` (counted through the shared `BuildCounters` hook), and
+//!    a shard waits for another shard's in-flight build of the same
+//!    documents exactly when the fragment cache is on;
 //! 3. **admission batching** — distinct queries queued behind a busy shard
 //!    form one batch and share one grouped build round;
 //! 4. **cache bounds** — a capacity-1 cache evicts under alternation and
@@ -16,11 +18,9 @@ use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
 use qkb_kb::OnTheFlyKb;
 use qkb_qa::QaSystem;
-use qkb_serve::{
-    ForestConfig, QkbServer, QueryEngine, QueryRequest, ServeConfig, Served, SessionConfig,
-};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
-use std::time::Duration;
+use qkb_serve::{QkbServer, QueryEngine, QueryRequest, ServeConfig, Served, SessionConfig};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// A small but real engine: generated world, BM25 corpus, QKBfly system.
 fn engine() -> QaSystem {
@@ -143,24 +143,35 @@ fn k_concurrent_identical_queries_build_exactly_once() {
     server.shutdown();
 }
 
-/// An engine whose first `retrieve` blocks until [`GateEngine::open`]:
-/// it holds a single-shard server busy while requests queue behind it.
+/// The engine call a [`GateEngine`] holds.
+#[derive(Clone, Copy, PartialEq)]
+enum Held {
+    Retrieve,
+    DocTexts,
+}
+
+/// An engine whose first call of one kind blocks until
+/// [`GateEngine::open`]: it holds a shard busy while other requests
+/// queue behind it (`retrieve`) or reach other shards (`doc_texts`, which
+/// a shard calls once it has claimed the build).
 struct GateEngine {
     inner: Arc<QaSystem>,
-    gate: Mutex<(bool, bool)>, // (a retrieve is held, the gate is open)
+    held: Held,
+    gate: Mutex<(bool, bool)>, // (a call is held, the gate is open)
     cond: Condvar,
 }
 
 impl GateEngine {
-    fn new(inner: Arc<QaSystem>) -> Self {
+    fn new(inner: Arc<QaSystem>, held: Held) -> Self {
         Self {
             inner,
+            held,
             gate: Mutex::new((false, false)),
             cond: Condvar::new(),
         }
     }
 
-    /// Blocks until the shard is held inside the first `retrieve`.
+    /// Blocks until a shard is held inside the first held call.
     fn wait_held(&self) {
         let mut gate = self.gate.lock().unwrap();
         while !gate.0 {
@@ -172,14 +183,12 @@ impl GateEngine {
         self.gate.lock().unwrap().1 = true;
         self.cond.notify_all();
     }
-}
 
-impl QueryEngine for GateEngine {
-    fn qkbfly(&self) -> &qkbfly::Qkbfly {
-        self.inner.qkbfly()
-    }
-
-    fn retrieve(&self, request: &QueryRequest) -> Vec<usize> {
+    /// Holds the first `call` of the held kind until the gate opens.
+    fn pass(&self, call: Held) {
+        if call != self.held {
+            return;
+        }
         let mut gate = self.gate.lock().unwrap();
         if !gate.0 {
             gate.0 = true;
@@ -188,11 +197,21 @@ impl QueryEngine for GateEngine {
                 gate = self.cond.wait(gate).unwrap();
             }
         }
-        drop(gate);
+    }
+}
+
+impl QueryEngine for GateEngine {
+    fn qkbfly(&self) -> &qkbfly::Qkbfly {
+        self.inner.qkbfly()
+    }
+
+    fn retrieve(&self, request: &QueryRequest) -> Vec<usize> {
+        self.pass(Held::Retrieve);
         self.inner.retrieve(request)
     }
 
     fn doc_texts(&self, doc_ids: &[usize]) -> Vec<String> {
+        self.pass(Held::DocTexts);
         self.inner.doc_texts(doc_ids)
     }
 
@@ -202,6 +221,71 @@ impl QueryEngine for GateEngine {
 
     fn answer_kb(&self, request: &QueryRequest, kb: &OnTheFlyKb) -> Vec<String> {
         self.inner.answer_kb(request, kb)
+    }
+}
+
+/// Two shards, one question asked twice: the second ask reaches the
+/// free shard while the first shard's build is held after its claim.
+/// With the fragment cache on, the second waits for that build and is
+/// served `Coalesced`: one build for both. With the cache off nothing
+/// is shared: the second builds on its own and is answered while the
+/// first is still held. Every answer equals the cold build's.
+#[test]
+fn in_flight_builds_are_shared_across_shards_exactly_when_the_cache_is_on() {
+    let sys = Arc::new(engine());
+    let question = questions(&sys, 1).remove(0);
+    let reference = cold_answers(&sys, &question);
+    for cache_capacity in [16usize, 0] {
+        let gate = Arc::new(GateEngine::new(sys.clone(), Held::DocTexts));
+        let server = QkbServer::start(
+            gate.clone(),
+            ServeConfig {
+                shards: 2,
+                cache_capacity,
+                ..ServeConfig::default()
+            },
+        );
+        let builds_before = sys.qkbfly().counters().builds();
+        let (first, second) = std::thread::scope(|scope| {
+            let ask = || {
+                let client = server.client();
+                let question = &question;
+                move || client.query(QueryRequest::question(question))
+            };
+            let first = scope.spawn(ask());
+            gate.wait_held();
+            let (tx, rx) = mpsc::channel();
+            let second = ask();
+            scope.spawn(move || tx.send(second()));
+            let second = if cache_capacity > 0 {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while server.stats().inflight_coalesced == 0 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                gate.open();
+                rx.recv().unwrap()
+            } else {
+                let second = rx.recv_timeout(Duration::from_secs(30));
+                gate.open();
+                second.expect("with the cache off the second ask must not wait for the first")
+            };
+            (first.join().unwrap(), second)
+        });
+        let stats = server.stats();
+        server.shutdown();
+        let builds = sys.qkbfly().counters().builds() - builds_before;
+        assert_eq!(first.answers, reference, "cache {cache_capacity}");
+        assert_eq!(second.answers, reference, "cache {cache_capacity}");
+        assert_eq!(first.served, Served::ColdBuild);
+        if cache_capacity > 0 {
+            assert_eq!(stats.inflight_coalesced, 1, "{stats:?}");
+            assert_eq!(second.served, Served::Coalesced);
+            assert_eq!(builds, 1, "one build serves both asks");
+        } else {
+            assert_eq!(stats.inflight_coalesced, 0, "{stats:?}");
+            assert_eq!(second.served, Served::ColdBuild);
+            assert_eq!(builds, 2, "each ask builds on its own");
+        }
     }
 }
 
@@ -225,7 +309,7 @@ fn admission_batching_groups_distinct_queries_into_one_round() {
         .take(5)
         .collect();
     assert_eq!(qs.len(), 5, "fixture needs 5 distinct retrievals");
-    let gate = Arc::new(GateEngine::new(sys.clone()));
+    let gate = Arc::new(GateEngine::new(sys.clone(), Held::Retrieve));
     let server = QkbServer::start(
         gate.clone(),
         ServeConfig {
@@ -591,10 +675,7 @@ fn cross_session_rebuild_is_byte_identical() {
             stage1_cache_bytes: 0, // force the resolve stage to re-run
             // Forest off: a fork would skip the rebuild entirely.
             session: SessionConfig {
-                forest: ForestConfig {
-                    enabled: false,
-                    ..ForestConfig::default()
-                },
+                forest_bytes: 0,
                 ..SessionConfig::default()
             },
             ..ServeConfig::default()

@@ -17,9 +17,9 @@
 //!
 //! The forest holds one `Arc` per chain layer; every live fork holds
 //! its own. Evicting a chain from the forest (LRU under
-//! [`ForestConfig::max_bytes`]) only drops the forest's references —
-//! existing forks keep reading their layers untouched, and the layer
-//! memory is reclaimed when the **last** fork dies. The
+//! [`crate::SessionConfig::forest_bytes`]) only drops the forest's
+//! references — existing forks keep reading their layers untouched,
+//! and the layer memory is reclaimed when the **last** fork dies. The
 //! [`ForestStats::layer_refs`] gauge counts the fork-held references so
 //! that protocol is observable.
 //!
@@ -35,27 +35,6 @@ use qkb_kb::KbPrefix;
 use qkb_obs::{Counter, Registry, RegistrySnapshot};
 use qkb_util::{FxHashMap, FxHashSet};
 use std::sync::{Arc, Mutex};
-
-/// Prefix-forest knobs of a session store.
-#[derive(Clone, Copy, Debug)]
-pub struct ForestConfig {
-    /// Master switch: `false` gives every session a fully private KB
-    /// (the pre-forest behavior).
-    pub enabled: bool,
-    /// Byte budget of the registered chains; least-recently-used chains
-    /// are dropped beyond it. Live forks are unaffected — their layers
-    /// die with the last fork.
-    pub max_bytes: u64,
-}
-
-impl Default for ForestConfig {
-    fn default() -> Self {
-        ForestConfig {
-            enabled: true,
-            max_bytes: 64 << 20,
-        }
-    }
-}
 
 #[derive(Debug)]
 struct ChainEntry {

@@ -42,7 +42,7 @@ pub mod manager;
 pub mod session;
 pub mod stats;
 
-pub use forest::{ForestConfig, ForestStats, PrefixForest};
+pub use forest::{ForestStats, PrefixForest};
 pub use manager::{Residency, SessionConfig, SessionManager};
 pub use session::{SessionKb, TurnReport};
 pub use stats::SessionStats;

@@ -1,6 +1,6 @@
 //! The concurrent session store: byte-budgeted LRU with a TTL sweep.
 
-use crate::forest::{ForestConfig, PrefixForest};
+use crate::forest::PrefixForest;
 use crate::session::{SessionKb, TurnReport};
 use crate::stats::SessionStats;
 use qkb_obs::{Counter, Recorder, Registry};
@@ -21,12 +21,16 @@ pub struct SessionConfig {
     /// Hard cap on resident sessions; creating one past the cap evicts
     /// the least-recently-used. `0` = unbounded.
     pub max_sessions: usize,
-    /// The prefix-forest policy: when enabled, sessions opening on a
-    /// document sequence another session already built fork its frozen,
-    /// `Arc`-shared prefix instead of rebuilding — and the byte budget
-    /// above charges each session only the delta it **owns** (shared
-    /// layers are accounted once, in [`crate::ForestStats`]).
-    pub forest: ForestConfig,
+    /// Byte budget of the prefix forest: sessions opening on a document
+    /// sequence another session already built fork its frozen,
+    /// `Arc`-shared prefix instead of rebuilding, and `max_bytes`
+    /// charges each session only the delta it **owns** (shared layers
+    /// are accounted once, in [`crate::ForestStats`]). Beyond the budget
+    /// the least-recently-used chains are dropped; live forks keep their
+    /// layers. `0` turns the forest off and every session builds a
+    /// private KB — here `0` means off, while for `max_bytes` and
+    /// `max_sessions` it means unbounded.
+    pub forest_bytes: u64,
 }
 
 impl Default for SessionConfig {
@@ -35,7 +39,7 @@ impl Default for SessionConfig {
             max_bytes: 256 << 20,
             ttl: Duration::from_secs(15 * 60),
             max_sessions: 1024,
-            forest: ForestConfig::default(),
+            forest_bytes: 64 << 20,
         }
     }
 }
@@ -142,8 +146,8 @@ pub struct SessionManager {
     docs_merged: Counter,
     docs_deduped: Counter,
     recorder: Recorder,
-    /// Built (and counting) even when disabled, so the forest's metrics
-    /// are always registered; sessions use it only when enabled.
+    /// Built (and counting) even when off, so the forest's metrics are
+    /// always registered; sessions use it only when it has a budget.
     forest: Arc<PrefixForest>,
     /// Told the id of every evicted session.
     on_evict: Option<EvictionHook>,
@@ -174,15 +178,16 @@ impl SessionManager {
             docs_merged: counter("docs_merged"),
             docs_deduped: counter("docs_deduped"),
             recorder: Recorder::disabled(),
-            forest: Arc::new(PrefixForest::new(config.forest.max_bytes, registry)),
+            forest: Arc::new(PrefixForest::new(config.forest_bytes, registry)),
             on_evict: None,
             report_order: Mutex::new(()),
         }
     }
 
-    /// The shared prefix forest, when enabled.
+    /// The shared prefix forest; `None` when it is off (a zero
+    /// [`SessionConfig::forest_bytes`]).
     pub fn forest(&self) -> Option<&Arc<PrefixForest>> {
-        self.config.forest.enabled.then_some(&self.forest)
+        (self.config.forest_bytes > 0).then_some(&self.forest)
     }
 
     /// Builder: emit eviction events into `recorder` (disabled by
@@ -218,7 +223,25 @@ impl SessionManager {
     /// commit: `f` also gets the slot's [`Residency`], which reports only
     /// while the store still holds the slot.
     pub fn with_turn<R>(&self, id: &str, f: impl FnOnce(&mut SessionKb, &Residency<'_>) -> R) -> R {
-        let slot = self.claim(id);
+        let slot = self.claim(id, true).expect("a creating claim");
+        self.run_turn(id, slot, f)
+    }
+
+    /// [`SessionManager::with_session`] on a session the store already
+    /// holds: `None`, creating nothing, when `id` is not resident or is
+    /// idle past the TTL (which expires it here, as any claim would).
+    pub fn with_resident<R>(&self, id: &str, f: impl FnOnce(&mut SessionKb) -> R) -> Option<R> {
+        let slot = self.claim(id, false)?;
+        Some(self.run_turn(id, slot, |kb, _| f(kb)))
+    }
+
+    /// Runs `f` on a claimed slot, then re-weighs the session.
+    fn run_turn<R>(
+        &self,
+        id: &str,
+        slot: Arc<Slot>,
+        f: impl FnOnce(&mut SessionKb, &Residency<'_>) -> R,
+    ) -> R {
         let (result, bytes, turn) = {
             let mut kb = slot.kb.lock().expect("session slot");
             let residency = Residency {
@@ -311,8 +334,10 @@ impl SessionManager {
         SessionStats::from_snapshot(&self.metrics.snapshot().with_gauges(self.gauges()))
     }
 
-    /// Fetches (or creates) the session slot, touching its LRU position.
-    fn claim(&self, id: &str) -> Arc<Slot> {
+    /// Fetches the session slot, touching its LRU position; creates it
+    /// when `create` is set, and returns `None` otherwise if `id` is not
+    /// resident.
+    fn claim(&self, id: &str, create: bool) -> Option<Arc<Slot>> {
         let now = Instant::now();
         let mut inner = self.inner.lock().expect("session manager");
         self.sweep_locked(&mut inner, now, false);
@@ -323,7 +348,7 @@ impl SessionManager {
             Some(entry) if ttl.is_zero() || now.duration_since(entry.last_used) <= ttl => {
                 entry.last_used = now;
                 entry.seq = seq;
-                return entry.slot.clone();
+                return Some(entry.slot.clone());
             }
             // Idle past the TTL but not yet swept (opportunistic sweeps
             // are rate-limited): expire it here — an id idle past the
@@ -335,6 +360,9 @@ impl SessionManager {
             let entry = inner.sessions.remove(id).expect("stale resident");
             inner.total_bytes -= entry.bytes;
             self.note_eviction(id, &entry.slot, true);
+        }
+        if !create {
+            return None;
         }
         if self.config.max_sessions > 0 {
             while inner.sessions.len() >= self.config.max_sessions {
@@ -361,7 +389,7 @@ impl SessionManager {
             },
         );
         self.created.inc();
-        slot
+        Some(slot)
     }
 
     /// Commits the session's weight as observed after turn `turn` — only
@@ -529,7 +557,7 @@ mod tests {
             max_sessions: 0,
             ..Default::default()
         });
-        let slot = m.claim("a");
+        let slot = m.claim("a", true).expect("created");
         let base = m.stats().approx_bytes;
         // Turn 1's first observation.
         m.reweigh("a", &slot, base + 100, 1);
@@ -574,6 +602,27 @@ mod tests {
         assert_eq!(swept, ["b", "c"]);
         let stats = m.stats();
         assert_eq!((stats.evicted_pressure, stats.evicted_ttl), (1, 2));
+    }
+
+    #[test]
+    fn with_resident_never_creates_a_session() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sink = log.clone();
+        let m = manager(SessionConfig {
+            ttl: Duration::from_millis(100),
+            ..Default::default()
+        })
+        .with_eviction_hook(move |id| sink.lock().unwrap().push(id.to_string()));
+        assert_eq!(m.with_resident("a", |_| ()), None);
+        assert!(m.is_empty() && m.stats().created == 0);
+        m.with_session("a", |_| ());
+        assert_eq!(m.with_resident("a", |_| 7), Some(7));
+        // Idle past the TTL: expired like any claim would, not revived.
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(m.with_resident("a", |_| ()), None);
+        assert!(m.is_empty());
+        assert_eq!(*log.lock().unwrap(), ["a"]);
+        assert_eq!(m.stats().created, 1);
     }
 
     #[test]

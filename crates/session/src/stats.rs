@@ -37,7 +37,7 @@ pub struct SessionStats {
     /// Documents skipped as already resident (streaming dedup).
     pub docs_deduped: u64,
     /// Prefix-forest view: forks, freezes, shared bytes, layer refcounts
-    /// (all zero when the forest is disabled).
+    /// (all zero when the forest is off).
     pub forest: ForestStats,
 }
 

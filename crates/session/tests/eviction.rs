@@ -10,17 +10,15 @@
 //! 3. **Re-creating an evicted id** — the id comes back as a fresh, empty
 //!    session (no resurrection of stale state, no phantom dedup).
 
-use qkb_session::{ForestConfig, SessionConfig, SessionManager};
+use qkb_session::{SessionConfig, SessionManager};
 use qkbfly::{ComputeStage1, Qkbfly};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// Forest off: these tests pin the private-KB eviction semantics
-/// (an evicted or expired id must come back with *no* reusable state).
-const OFF: ForestConfig = ForestConfig {
-    enabled: false,
-    max_bytes: 0,
-};
+/// Forest off (a zero budget): these tests pin the private-KB eviction
+/// semantics (an evicted or expired id must come back with *no*
+/// reusable state).
+const FOREST_OFF: u64 = 0;
 
 /// A session store counting into a registry of its own.
 fn store(config: SessionConfig) -> SessionManager {
@@ -50,7 +48,7 @@ fn one_doc_session_bytes(qkb: &Qkbfly) -> u64 {
         max_bytes: 0,
         ttl: Duration::ZERO,
         max_sessions: 0,
-        forest: OFF,
+        forest_bytes: FOREST_OFF,
     });
     probe.with_session("probe", |s| {
         s.extend(qkb, &ComputeStage1, &[doc(0)]);
@@ -65,7 +63,7 @@ fn ttl_expiry_mid_query_discards_in_flight_state() {
         ttl: Duration::from_millis(40),
         max_bytes: 0,
         max_sessions: 0,
-        forest: OFF,
+        forest_bytes: FOREST_OFF,
     });
     let entered = Barrier::new(2);
     std::thread::scope(|scope| {
@@ -103,7 +101,7 @@ fn byte_pressure_evicts_lru_while_a_turn_is_in_flight() {
         max_bytes: w + w / 2,
         ttl: Duration::ZERO,
         max_sessions: 0,
-        forest: OFF,
+        forest_bytes: FOREST_OFF,
     });
     // Session "a" holds one document (recorded weight ~w).
     manager.with_session("a", |s| {
@@ -147,7 +145,7 @@ fn claim_expires_a_stale_id_even_between_rate_limited_sweeps() {
         ttl: Duration::from_millis(300),
         max_bytes: 0,
         max_sessions: 0,
-        forest: OFF,
+        forest_bytes: FOREST_OFF,
     });
     manager.with_session("a", |s| {
         s.extend(&qkb, &ComputeStage1, &[doc(0)]);
@@ -179,7 +177,7 @@ fn recreated_id_starts_cold_with_no_phantom_dedup() {
         max_sessions: 1,
         max_bytes: 0,
         ttl: Duration::ZERO,
-        forest: OFF,
+        forest_bytes: FOREST_OFF,
     });
     let first = manager.with_session("a", |s| s.extend(&qkb, &ComputeStage1, &[doc(0), doc(1)]));
     assert_eq!((first.cold, first.merged), (true, 2));
@@ -207,10 +205,7 @@ fn evicting_a_forked_session_leaves_sibling_forks_readable() {
         max_sessions: 2,
         max_bytes: 0,
         ttl: Duration::ZERO,
-        forest: ForestConfig {
-            enabled: true,
-            max_bytes: 64 << 20,
-        },
+        forest_bytes: 64 << 20,
     });
     let opening = [doc(0), doc(1)];
     manager.with_session("a", |s| s.extend(&qkb, &ComputeStage1, &opening));
@@ -244,10 +239,7 @@ fn last_fork_death_reclaims_the_shared_layer() {
         max_sessions: 0,
         max_bytes: 0,
         ttl: Duration::ZERO,
-        forest: ForestConfig {
-            enabled: true,
-            max_bytes: 64 << 20,
-        },
+        forest_bytes: 64 << 20,
     });
     let opening = [doc(0)];
     manager.with_session("a", |s| s.extend(&qkb, &ComputeStage1, &opening));
