@@ -164,7 +164,6 @@ fn main() {
                 shards: 1,
                 cache_capacity: 0,
                 stage1_cache_bytes: 0,
-                batch_max: 1,
                 ..ServeConfig::default()
             },
             ..NetConfig::default()
@@ -220,7 +219,6 @@ fn main() {
         }),
         serve: ServeConfig {
             shards: 1,
-            batch_max: 1,
             ..ServeConfig::default()
         },
         ..NetConfig::default()

@@ -1,6 +1,6 @@
 //! **Serving-throughput microbench** — closed-loop clients firing a
 //! Zipf-skewed query mix at `qkb-serve`, comparing the full configuration
-//! (fragment cache + coalescing + admission batching) against a
+//! (fragment cache + coalescing) against a
 //! no-cache/no-coalescing baseline, plus a determinism cross-check
 //! (served answers must be byte-identical to offline cold builds at any
 //! shard count).
@@ -173,14 +173,12 @@ fn main() {
     println!("determinism: OK (served == offline cold build at 1 and 4 shards)\n");
 
     let shards = 4;
-    // --- baseline: no cache, no coalescing (both off at capacity 0),
-    // no batching ---
+    // --- baseline: no cache, no coalescing (both off at capacity 0) ---
     let baseline_server = QkbServer::start(
         sys.clone(),
         ServeConfig {
             shards,
             cache_capacity: 0,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -198,7 +196,6 @@ fn main() {
         ServeConfig {
             shards,
             cache_capacity: 64,
-            batch_max: 8,
             ..ServeConfig::default()
         },
     );
@@ -223,7 +220,7 @@ fn main() {
         "—".to_string(),
     ]);
     table.row([
-        "cache + coalesce + batch".to_string(),
+        "cache + coalesce".to_string(),
         format!("{serve_rps:.1}"),
         format!("{:.1} ms", percentile_ms(&mut serve_lat, 0.50)),
         format!("{:.1} ms", percentile_ms(&mut serve_lat, 0.95)),

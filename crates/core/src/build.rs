@@ -63,21 +63,19 @@ pub struct BuiltGraph {
 /// tractable; candidates are prior-ranked so truncation is benign).
 const MAX_CANDIDATES: usize = 8;
 
+/// Backward pronoun window in sentences (§3: five).
+pub const PRONOUN_WINDOW: usize = 5;
+
 /// Builder configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BuildConfig {
-    /// Backward pronoun window in sentences (§3: five).
-    pub pronoun_window: usize,
     /// Include pronoun nodes at all (false for QKBfly-noun).
     pub use_pronouns: bool,
 }
 
 impl Default for BuildConfig {
     fn default() -> Self {
-        Self {
-            pronoun_window: 5,
-            use_pronouns: true,
-        }
+        Self { use_pronouns: true }
     }
 }
 
@@ -197,7 +195,7 @@ pub fn build_graph(
         );
     }
 
-    add_same_as_edges(&mut g, &mentions, config);
+    add_same_as_edges(&mut g, &mentions);
 
     BuiltGraph {
         graph: g,
@@ -442,7 +440,7 @@ fn owner_span_of(toks: &[qkb_nlp::Token], head: usize) -> Vec<usize> {
 
 /// Adds the initial `sameAs` edges (§3): string matching for NP pairs with
 /// the same NER label, and the backward pronoun window.
-fn add_same_as_edges(g: &mut SemanticGraph, mentions: &[NodeId], config: BuildConfig) {
+fn add_same_as_edges(g: &mut SemanticGraph, mentions: &[NodeId]) {
     // Collect mention metadata first (borrow discipline).
     struct M {
         node: NodeId,
@@ -521,12 +519,12 @@ fn add_same_as_edges(g: &mut SemanticGraph, mentions: &[NodeId], config: BuildCo
     }
 
     // (b) Pronoun window: pronouns link to noun phrases in the preceding
-    // `pronoun_window` sentences (and earlier in the same sentence).
+    // `PRONOUN_WINDOW` sentences (and earlier in the same sentence).
     for p in ms.iter().filter(|m| m.pronoun.is_some()) {
         let gender = p.pronoun.expect("pronoun");
         for t in ms.iter().filter(|m| m.pronoun.is_none() && !m.is_time) {
             let before = t.sentence < p.sentence || (t.sentence == p.sentence && t.head < p.head);
-            let in_window = p.sentence.saturating_sub(config.pronoun_window) <= t.sentence;
+            let in_window = p.sentence.saturating_sub(PRONOUN_WINDOW) <= t.sentence;
             if !before || !in_window || !t.proper {
                 continue;
             }
@@ -680,7 +678,6 @@ mod tests {
             &stats,
             BuildConfig {
                 use_pronouns: false,
-                ..Default::default()
             },
         );
         assert!(!built

@@ -21,16 +21,17 @@ use qkb_kb::{
 use qkb_openie::Extraction;
 use qkb_util::FxHashMap;
 
+/// Links below this confidence are demoted to emerging entities (§5:
+/// "groups ... linked with very low confidence scores" become new
+/// entities).
+pub const LOW_LINK: f64 = 0.2;
+
 /// Canonicalization parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CanonConfig {
     /// Confidence threshold τ for keeping facts (§4 uses 0.5; §7.3 uses
     /// 0.9 for the high-precision IE regime).
     pub tau: f64,
-    /// Links below this confidence are demoted to emerging entities (§5:
-    /// "groups ... linked with very low confidence scores" become new
-    /// entities).
-    pub low_link: f64,
     /// Emit higher-arity facts (false for the QKBfly-triples QA variant).
     pub emit_nary: bool,
 }
@@ -39,7 +40,6 @@ impl Default for CanonConfig {
     fn default() -> Self {
         Self {
             tau: 0.5,
-            low_link: 0.2,
             emit_nary: true,
         }
     }
@@ -157,7 +157,6 @@ fn decide_cluster(
     built: &BuiltGraph,
     outcome: &DensifyOutcome,
     repo: &EntityRepository,
-    config: CanonConfig,
     cluster: &Cluster,
 ) -> ClusterDecision {
     let g = &built.graph;
@@ -208,10 +207,7 @@ fn decide_cluster(
             })
     };
     match res {
-        Some(r)
-            if r.confidence >= config.low_link
-                && !link_contradicted(r.entity.expect("checked")) =>
-        {
+        Some(r) if r.confidence >= LOW_LINK && !link_contradicted(r.entity.expect("checked")) => {
             let e = r.entity.expect("checked");
             let mut links = Vec::new();
             for &n in nodes {
@@ -260,7 +256,7 @@ pub fn canonicalize_into(
     let decisions: Vec<ClusterDecision> = plan
         .clusters
         .iter()
-        .map(|c| decide_cluster(built, outcome, repo, config, c))
+        .map(|c| decide_cluster(built, outcome, repo, c))
         .collect();
     apply_decisions(kb, built, &plan, &decisions, patterns, config, doc_idx)
 }

@@ -121,7 +121,6 @@ impl Defie {
             stats,
             BuildConfig {
                 use_pronouns: false,
-                ..Default::default()
             },
         );
         let res = resolve_babelfy(&built.graph, &built.mentions, &self.model, stats, repo);

@@ -61,10 +61,6 @@ pub struct QkbflyConfig {
     pub alphas: [f64; 4],
     /// Fact confidence threshold τ.
     pub tau: f64,
-    /// Link-confidence floor below which clusters become emerging.
-    pub low_link: f64,
-    /// Backward pronoun window (sentences).
-    pub pronoun_window: usize,
     /// Emit higher-arity facts.
     pub emit_nary: bool,
     /// Worker threads for the per-document phase of [`Qkbfly::build_kb`]:
@@ -88,8 +84,6 @@ impl Default for QkbflyConfig {
             solver: SolverKind::Greedy,
             alphas: WeightModel::default().alphas,
             tau: 0.5,
-            low_link: 0.2,
-            pronoun_window: 5,
             emit_nary: true,
             parallelism: 0,
             resolve_decomposition: true,
@@ -727,7 +721,6 @@ impl Qkbfly {
     fn canon_config(&self) -> CanonConfig {
         CanonConfig {
             tau: self.config.tau,
-            low_link: self.config.low_link,
             emit_nary: self.config.emit_nary,
         }
     }
@@ -780,7 +773,6 @@ impl Qkbfly {
             &self.repo,
             &self.stats,
             BuildConfig {
-                pronoun_window: self.config.pronoun_window,
                 use_pronouns: self.config.variant != Variant::NounOnly,
             },
         );

@@ -77,7 +77,9 @@ use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_BYTES};
 use crate::journal::{JournalConfig, JournalStats, SessionJournal};
 use crate::proto::{BusyScope, NetRequest, NetResponse};
 use qkb_obs::{Counter, Gauge, Recorder, Registry, RegistrySnapshot};
-use qkb_serve::{QkbServer, QueryEngine, ServeClient, ServeConfig, ServeStats, TurnLog};
+use qkb_serve::{
+    QkbServer, QueryEngine, QueryResponse, ServeClient, ServeConfig, ServeStats, TurnLog,
+};
 use qkb_util::json::Value;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -699,36 +701,16 @@ fn serve_request<E: QueryEngine>(shared: &NetShared<E>, req: NetRequest) -> NetR
 
 fn dispatch<E: QueryEngine>(shared: &NetShared<E>, req: NetRequest) -> NetResponse {
     match req {
-        NetRequest::Query { id, request } => match shared.client.try_query(request) {
-            Some(r) => NetResponse::Answer {
-                id,
-                served: r.served,
-                n_docs: r.n_docs as u64,
-                n_facts: r.n_facts as u64,
-                answers: r.answers,
-            },
-            None => NetResponse::Error {
-                id,
-                message: "server shutting down".into(),
-            },
-        },
+        NetRequest::Query { id, request } => answer(shared, id, shared.client.try_query(request)),
         NetRequest::QueryInSession {
             id,
             session,
             request,
-        } => match shared.client.try_query_in_session(&session, request) {
-            Some(r) => NetResponse::Answer {
-                id,
-                served: r.served,
-                n_docs: r.n_docs as u64,
-                n_facts: r.n_facts as u64,
-                answers: r.answers,
-            },
-            None => NetResponse::Error {
-                id,
-                message: "server shutting down".into(),
-            },
-        },
+        } => answer(
+            shared,
+            id,
+            shared.client.try_query_in_session(&session, request),
+        ),
         NetRequest::Stats { id } => match shared.stats() {
             Some(stats) => NetResponse::StatsJson {
                 id,
@@ -742,6 +724,37 @@ fn dispatch<E: QueryEngine>(shared: &NetShared<E>, req: NetRequest) -> NetRespon
         NetRequest::ResetStats { id } => {
             shared.reset_stats();
             NetResponse::Ok { id }
+        }
+    }
+}
+
+/// The wire reply to query `id`. `None` means the inner server dropped
+/// the reply: it has shut down, or serving the request panicked and its
+/// shard serves on.
+fn answer<E: QueryEngine>(
+    shared: &NetShared<E>,
+    id: u64,
+    reply: Option<QueryResponse>,
+) -> NetResponse {
+    match reply {
+        Some(r) => NetResponse::Answer {
+            id,
+            served: r.served,
+            n_docs: r.n_docs as u64,
+            n_facts: r.n_facts as u64,
+            answers: r.answers,
+        },
+        None => {
+            let live = shared.server.lock().expect("inner server slot").is_some();
+            let message = if live {
+                "request failed"
+            } else {
+                "server shutting down"
+            };
+            NetResponse::Error {
+                id,
+                message: message.into(),
+            }
         }
     }
 }

@@ -85,7 +85,6 @@ fn config_with_journal(dir: Option<&Path>) -> NetConfig {
         journal,
         serve: ServeConfig {
             shards: 1,
-            batch_max: 1,
             ..ServeConfig::default()
         },
         ..NetConfig::default()

@@ -61,11 +61,10 @@ fn questions(sys: &QaSystem, n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Single-shard, no-batching serve tier: deterministic and fast.
+/// Single-shard serve tier: deterministic and fast.
 fn serve_config() -> ServeConfig {
     ServeConfig {
         shards: 1,
-        batch_max: 1,
         ..ServeConfig::default()
     }
 }

@@ -1,7 +1,7 @@
 //! The engine abstraction the server runs on, and its [`QaSystem`] glue.
 //!
-//! The server owns scheduling (sharding, coalescing, caching, batching)
-//! and delegates the three semantic steps of the paper's query-time path
+//! The server owns scheduling (sharding, coalescing, caching) and
+//! delegates the three semantic steps of the paper's query-time path
 //! to an engine: retrieve documents for a query, hand out the QKBfly
 //! handle that builds a KB from them, extract answers from a KB.
 //! `qkb_qa::QaSystem` is the production engine; tests can supply stubs.

@@ -7,10 +7,12 @@
 //! long-running server:
 //!
 //! * [`QkbServer`] — N worker shards over an admission queue, each shard
-//!   holding a cheaply cloned `Qkbfly` handle;
-//! * **request coalescing** — concurrent identical normalized queries
-//!   share one in-flight build (in-batch grouping plus, while the
-//!   fragment cache is on, a global in-flight table across shards);
+//!   holding a cheaply cloned `Qkbfly` handle and serving one request at
+//!   a time, oldest first; a request is answered as soon as its own work
+//!   is done, and one that panics fails alone;
+//! * **request coalescing** — while the fragment cache is on, concurrent
+//!   requests for the same retrieved documents share one in-flight
+//!   build through a global table across shards;
 //! * **two-tier cache** — a sharded bounded LRU fragment cache keyed
 //!   by the fingerprint of the query's retrieved-document set (exact-set
 //!   reuse), fronted by a byte-bounded per-document stage-1 cache
@@ -19,12 +21,6 @@
 //!   (`Qkbfly::provide_stage1` through the cache), re-running stage 1
 //!   only for never-seen documents (hit/miss/evict counters on both
 //!   tiers);
-//! * **admission batching** — a free shard takes every query queued
-//!   while the shards were busy (up to `batch_max`, without waiting for
-//!   more) and builds the distinct ones in one round: one
-//!   `Qkbfly::provide_stage1` over the union of their documents (the
-//!   parallel per-document fan-out), then one `Qkbfly::extend_kb` fold
-//!   into an empty KB per query;
 //! * **session-scoped streaming KBs** — [`QkbServer::query_in_session`]
 //!   gives each client session a long-lived, monotonically growing KB
 //!   (the paper's interactive-exploration scenario, §6): successive
@@ -34,8 +30,8 @@
 //!   and answers come from the accumulated KB; sessions live in a
 //!   byte-budgeted, TTL-swept `qkb_session::SessionManager` shared by
 //!   all shards;
-//! * **one metrics registry** — every serving counter (requests, build
-//!   rounds, both cache tiers, the session store, the prefix
+//! * **one metrics registry** — every serving counter (requests,
+//!   builds, both cache tiers, the session store, the prefix
 //!   forest) lives once, in [`ServeConfig::registry`], which the network
 //!   tier and its journal count into too; occupancy is read from the
 //!   live stores when a snapshot is taken. One
@@ -47,7 +43,7 @@
 //!   benchmark phase boundary;
 //! * **tracing** — pass a live [`qkb_obs::Recorder`] in
 //!   [`ServeConfig::recorder`] and every request records a span tree
-//!   (admission wait, fragment-cache outcome, grouped build with the
+//!   (admission wait, fragment-cache outcome, fragment build with the
 //!   core's per-stage, per-component and fold spans nested inside,
 //!   answer)
 //!   exportable as Chrome-trace JSON via [`qkb_obs::chrome_trace`].

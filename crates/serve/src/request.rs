@@ -1,6 +1,5 @@
 //! Request and response types of the serving front-end.
 
-use qkb_util::text::normalize;
 use std::time::Duration;
 
 /// What kind of knowledge the client is asking for.
@@ -38,24 +37,13 @@ impl QueryRequest {
             text: name.into(),
         }
     }
-
-    /// The coalescing identity of this request: kind-tagged normalized
-    /// text, so "Who SHOT Keith Scott?" and "who shot keith scott" share
-    /// one in-flight build while a question and an entity seed with the
-    /// same surface do not.
-    pub fn normalized_key(&self) -> String {
-        let tag = match self.kind {
-            QueryKind::Question => 'q',
-            QueryKind::EntitySeed => 'e',
-        };
-        format!("{tag}:{}", normalize(&self.text))
-    }
 }
 
 /// How the server obtained the KB behind a response.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Served {
-    /// The fragment was built from scratch for this batch.
+    /// The fragment was built for this request (from the stage-1
+    /// cache's artifacts where it held them).
     ColdBuild,
     /// The fragment came out of the fragment cache.
     CacheHit,
@@ -87,18 +75,4 @@ pub struct QueryResponse {
     pub n_facts: usize,
     /// Queue-to-reply wall clock.
     pub latency: Duration,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn normalized_key_folds_case_and_tags_kind() {
-        let a = QueryRequest::question("Who shot Keith Scott?");
-        let b = QueryRequest::question("who shot KEITH SCOTT?");
-        assert_eq!(a.normalized_key(), b.normalized_key());
-        let e = QueryRequest::entity("who shot keith scott");
-        assert_ne!(a.normalized_key(), e.normalized_key());
-    }
 }

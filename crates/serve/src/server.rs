@@ -2,28 +2,28 @@
 //!
 //! ```text
 //!  clients ──► admission queue ──► N worker shards (cloned Qkbfly handle each)
-//!                  │                   │
-//!                  │ takes the         ├─ group batch by normalized query
-//!                  │ backlog (≤ max)   ├─ fragment cache?  ── hit ──► answer
+//!                  │                   │ one request at a time:
+//!                  │ oldest job        ├─ session turn?    ──► extend its KB ─► answer
+//!                  │ first             ├─ fragment cache?  ── hit ──► answer
 //!                  ▼                   ├─ in-flight table? ── wait ─► answer
-//!            [j1 j2 j3 …]             └─ misses: provide_stage1(union)
-//!                                         then extend_kb(empty KB) per group
+//!            [j1 j2 j3 …]             └─ miss: provide_stage1(docs)
+//!                                         then extend_kb(empty KB) ─► answer
 //! ```
 //!
 //! Scheduling properties:
-//! * **admission batching** — a worker that finds the queue non-empty
-//!   takes every request already waiting (up to `batch_max`) without
-//!   waiting for more, so batches form only from requests that queued
-//!   while the shards were busy and an idle server never holds a request
-//!   back. It then builds every missing fragment in **one** round: a
-//!   single `provide_stage1` over the union of the groups' documents (the
-//!   per-document fan-out, shared across distinct queries), then one
-//!   `extend_kb` fold into an empty KB per group;
-//! * **request coalescing** — identical normalized queries in one batch
-//!   collapse to a single group, and, while the fragment cache is on, a
-//!   group whose fragment is already being built by another shard waits
-//!   on that build instead of starting a redundant one (a global
-//!   in-flight table keyed like the cache);
+//! * **one request at a time** — a free shard takes the oldest queued
+//!   request and serves it to its reply before it takes the next, so a
+//!   request is answered as soon as its own work is done and never waits
+//!   for work queued after it. A request that panics fails alone: its
+//!   caller gets no reply, an in-flight claim it led is abandoned, the
+//!   panic is counted (`serve_request_panics_total`) and the shard takes
+//!   the next job;
+//! * **request coalescing** — while the fragment cache is on, a request
+//!   whose fragment another shard is already building waits on that
+//!   build instead of starting a redundant one (a global in-flight table
+//!   keyed like the cache). A shard holds at most one claim, and
+//!   publishes or abandons it before its next job, so it never waits as
+//!   a follower while holding a claim;
 //! * **fragment reuse** — the sharded LRU [`FragmentCache`] is keyed by
 //!   the fingerprint of the retrieved-document set, so *different*
 //!   questions that retrieve the same documents share one fragment;
@@ -47,8 +47,9 @@ use qkb_kb::OnTheFlyKb;
 use qkb_obs::{OpenSpan, Recorder, Registry, RegistrySnapshot, SpanCtx};
 use qkb_session::{SessionConfig, SessionManager};
 use qkb_util::FxHashMap;
-use qkbfly::{Qkbfly, ResolveCounters, StageTimings};
+use qkbfly::Qkbfly;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -147,9 +148,6 @@ pub struct ServeConfig {
     /// disables tier one (every fragment miss becomes a fully cold
     /// build — the PR 2 behavior).
     pub stage1_cache_bytes: u64,
-    /// Maximum queued requests a worker takes as one admission batch;
-    /// `1` turns batching off.
-    pub batch_max: usize,
     /// The session store behind [`QkbServer::query_in_session`]: total
     /// byte budget across resident session KBs, idle TTL, session cap,
     /// and the byte budget of the prefix forest that lets a session
@@ -181,7 +179,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("shards", &self.shards)
             .field("cache_capacity", &self.cache_capacity)
             .field("stage1_cache_bytes", &self.stage1_cache_bytes)
-            .field("batch_max", &self.batch_max)
             .field("session", &self.session)
             .field("recorder", &self.recorder)
             .field("registry", &self.registry)
@@ -196,7 +193,6 @@ impl Default for ServeConfig {
             shards: 0,
             cache_capacity: 128,
             stage1_cache_bytes: 64 << 20,
-            batch_max: 8,
             session: SessionConfig::default(),
             recorder: Recorder::disabled(),
             registry: Registry::new(),
@@ -218,7 +214,6 @@ impl ServeConfig {
 /// One enqueued request with its reply channel.
 struct Job {
     request: QueryRequest,
-    key: String,
     /// `Some(session_id)` routes the job through the session path: the
     /// retrieved documents stream into that session's accumulated KB and
     /// the answer comes from it, bypassing the fragment cache.
@@ -231,7 +226,7 @@ struct Job {
     reply: mpsc::Sender<QueryResponse>,
 }
 
-/// A Condvar-fronted MPMC queue with batch draining.
+/// A Condvar-fronted MPMC FIFO queue.
 struct AdmissionQueue {
     state: Mutex<QueueState>,
     cond: Condvar,
@@ -265,20 +260,19 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Blocks until a first job arrives, then takes it and whatever else
-    /// is already queued, up to `max` jobs (at least one). Never waits for
-    /// more. Returns an empty vec only when the queue is closed and
-    /// drained.
-    fn pop_batch(&self, max: usize) -> Vec<Job> {
+    /// Blocks until a job is queued and takes the oldest. `None` only
+    /// when the queue is closed and drained.
+    fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("admission queue");
-        while state.jobs.is_empty() {
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
             if state.closed {
-                return Vec::new();
+                return None;
             }
             state = self.cond.wait(state).expect("admission queue");
         }
-        let n = state.jobs.len().min(max.max(1));
-        state.jobs.drain(..n).collect()
     }
 
     fn close(&self) {
@@ -376,18 +370,17 @@ impl InFlightTable {
         }
     }
 
-    /// Releases claims whose leader is unwinding: still-pending slots
-    /// flip to `Abandoned` so followers fall back to building themselves
-    /// instead of waiting forever. Keys already published are no-ops.
-    fn abandon(&self, keys: impl IntoIterator<Item = u64>) {
+    /// Releases the claim of a leader that unwound: a still-pending slot
+    /// flips to `Abandoned` so its followers fall back to building
+    /// themselves instead of waiting forever. An unclaimed key is a
+    /// no-op.
+    fn abandon(&self, key: u64) {
         let mut map = self.map.lock().expect("in-flight table");
-        for key in keys {
-            if let Some(slot) = map.remove(&key) {
-                let mut result = slot.result.lock().expect("in-flight slot");
-                *result = SlotState::Abandoned;
-                drop(result);
-                slot.ready.notify_all();
-            }
+        if let Some(slot) = map.remove(&key) {
+            let mut result = slot.result.lock().expect("in-flight slot");
+            *result = SlotState::Abandoned;
+            drop(result);
+            slot.ready.notify_all();
         }
     }
 }
@@ -428,12 +421,11 @@ impl<E: QueryEngine> Shared<E> {
             .with_gauges(gauges.concat())
     }
 
-    /// `None` when the server has shut down (or a worker died with the
-    /// request in hand).
+    /// `None` when the server has shut down, or when serving the request
+    /// panicked (its shard dropped the reply and went on serving).
     fn try_submit(&self, session: Option<String>, request: QueryRequest) -> Option<QueryResponse> {
         let (tx, rx) = mpsc::channel();
         let job = Job {
-            key: request.normalized_key(),
             request,
             session,
             enqueued: Instant::now(),
@@ -446,12 +438,12 @@ impl<E: QueryEngine> Shared<E> {
 
     fn query(&self, request: QueryRequest) -> QueryResponse {
         self.try_submit(None, request)
-            .expect("query submitted to a shut-down server")
+            .expect("the server shut down or the request panicked")
     }
 
     fn query_in_session(&self, session_id: &str, request: QueryRequest) -> QueryResponse {
         self.try_submit(Some(session_id.to_string()), request)
-            .expect("query submitted to a shut-down server")
+            .expect("the server shut down or the request panicked")
     }
 }
 
@@ -477,14 +469,16 @@ impl<E: QueryEngine> Clone for ServeClient<E> {
 impl<E: QueryEngine> ServeClient<E> {
     /// Submits one query and blocks until its response.
     ///
-    /// Panics if the server has shut down — clients racing a graceful
-    /// drain should use [`ServeClient::try_query`].
+    /// Panics if the server has shut down or serving the request
+    /// panicked — clients racing a graceful drain should use
+    /// [`ServeClient::try_query`].
     pub fn query(&self, request: QueryRequest) -> QueryResponse {
         self.shared.query(request)
     }
 
-    /// Like [`ServeClient::query`], but returns `None` once the server
-    /// has shut down instead of panicking.
+    /// Like [`ServeClient::query`], but returns `None` instead of
+    /// panicking once the server has shut down, or when serving the
+    /// request panicked (the shard that caught it serves on).
     pub fn try_query(&self, request: QueryRequest) -> Option<QueryResponse> {
         self.shared.try_submit(None, request)
     }
@@ -496,8 +490,9 @@ impl<E: QueryEngine> ServeClient<E> {
         self.shared.query_in_session(session_id, request)
     }
 
-    /// Like [`ServeClient::query_in_session`], but returns `None` once
-    /// the server has shut down instead of panicking.
+    /// Like [`ServeClient::query_in_session`], but returns `None`
+    /// instead of panicking once the server has shut down, or when the
+    /// turn panicked (the session store has then evicted the session).
     pub fn try_query_in_session(
         &self,
         session_id: &str,
@@ -672,9 +667,9 @@ impl<E: QueryEngine> QkbServer<E> {
     fn shutdown_inner(&mut self) {
         self.shared.queue.close();
         for handle in self.workers.drain(..) {
-            // A worker that panicked already abandoned its in-flight
-            // claims and dropped its reply senders; swallowing the join
-            // error here avoids a double panic out of Drop.
+            // A shard survives its requests' panics; swallowing the join
+            // error of one that died some other way avoids a double panic
+            // out of Drop.
             let _ = handle.join();
         }
     }
@@ -686,291 +681,164 @@ impl<E: QueryEngine> Drop for QkbServer<E> {
     }
 }
 
-/// One batch group: all queued requests sharing a normalized query key.
-struct Group {
-    jobs: Vec<Job>,
-}
-
-/// How a group's fragment was (or will be) obtained, with its key and
-/// the retrieved-document count. `Waiting` keeps the retrieved doc ids
-/// so the follower can rebuild if the leader dies.
-enum Resolution {
-    Ready(Arc<OnTheFlyKb>, Served, u64, usize),
-    Waiting(Arc<InFlightSlot>, u64, Vec<usize>),
-}
-
-/// One build round, traced as a `span` under `ctx`: provides the stage-1
-/// artifacts of every group's documents in a single `provide_stage1`
-/// call over their union (each distinct document provided once, through
-/// the per-document cache), then folds each group into an empty KB with
-/// `extend_kb` — the fold sessions extend with, so a fragment is
-/// byte-identical to a cold build of its documents. Records the round in
-/// the metrics.
-fn build_fragments<E: QueryEngine>(
+/// Builds the fragment of `doc_ids`, traced as a `solo_build` span under
+/// `ctx`, and publishes it under `key`, waking any followers. One
+/// `provide_stage1` through the per-document cache, then the `extend_kb`
+/// fold sessions extend with into an empty KB, so a fragment is
+/// byte-identical to a cold build of its documents.
+fn build_fragment<E: QueryEngine>(
     shared: &Shared<E>,
     qkb: &Qkbfly,
-    span: &'static str,
     ctx: SpanCtx,
-    doc_groups: &[Vec<String>],
-) -> Vec<Arc<OnTheFlyKb>> {
-    let mut build_span = qkb.recorder().span_at(span, ctx);
-    build_span.field("groups", doc_groups.len());
-    // A group whose documents are already (partly) in the stage-1 cache
-    // is *assembled* rather than fully cold. Classify before building;
+    key: u64,
+    doc_ids: &[usize],
+) -> Arc<OnTheFlyKb> {
+    let texts = shared.engine.doc_texts(doc_ids);
+    let mut build_span = qkb.recorder().span_at("solo_build", ctx);
+    // Documents already (partly) in the stage-1 cache make the fragment
+    // *assembled* rather than fully cold. Classify before building;
     // probes don't touch LRU order or hit counters.
-    let assembled = doc_groups
-        .iter()
-        .filter(|docs| docs.iter().any(|t| shared.stage1.contains_text(t)))
-        .count() as u64;
-    build_span.field("assembled_groups", assembled);
-    let mut artifacts = qkb
-        .provide_stage1(&shared.stage1, doc_groups.iter().flatten())
-        .into_iter();
-    let mut timings = StageTimings::default();
-    let mut resolve = ResolveCounters::default();
-    let fragments = doc_groups
-        .iter()
-        .map(|docs| {
-            let group: Vec<_> = artifacts.by_ref().take(docs.len()).collect();
-            let mut kb = OnTheFlyKb::new();
-            let outcome = qkb.extend_kb(&mut kb, &group);
-            timings.add(&outcome.timings);
-            resolve.add(&outcome.resolve);
-            Arc::new(kb)
-        })
-        .collect();
-    let docs: usize = doc_groups.iter().map(Vec::len).sum();
-    shared.metrics.note_build_round(
-        doc_groups.len() as u64,
+    let assembled = texts.iter().any(|t| shared.stage1.contains_text(t));
+    build_span.field("assembled", assembled);
+    build_span.field("docs", texts.len());
+    let artifacts = qkb.provide_stage1(&shared.stage1, &texts);
+    let mut kb = OnTheFlyKb::new();
+    let outcome = qkb.extend_kb(&mut kb, &artifacts);
+    shared.metrics.note_build(
         assembled,
-        docs as u64,
-        timings,
-        resolve,
+        texts.len() as u64,
+        outcome.timings,
+        outcome.resolve,
     );
-    build_span.field("docs", docs);
-    fragments
+    drop(build_span);
+    let kb = Arc::new(kb);
+    shared.inflight.publish(key, kb.clone(), &shared.cache);
+    kb
 }
 
 fn run_shard<E: QueryEngine>(shared: &Shared<E>) {
-    let config = &shared.config;
     // The shard's own build handle: cheap clone, shared repositories and
     // counters, private parallelism knob — no `&mut` on a shared handle.
     let qkb = shared.build_handle();
-    let recorder = &config.recorder;
+    let recorder = qkb.recorder();
+    while let Some(job) = shared.queue.pop() {
+        // The job's time in the admission queue, as a child of its
+        // request root (the span started when the client enqueued).
+        recorder.record_interval("admission_wait", job.trace.ctx, job.trace.start_us, |_| {});
+        // The key of the in-flight build the request leads, until published.
+        let mut lead = None;
+        let served = catch_unwind(AssertUnwindSafe(|| match &job.session {
+            Some(session_id) => run_session_turn(shared, &qkb, &job, session_id),
+            None => run_one_shot(shared, &qkb, &job, &mut lead),
+        }));
+        let Ok(response) = served else {
+            // The request fails alone: followers of a build it led build
+            // for themselves, dropping its reply sender tells its caller,
+            // and the shard takes the next job.
+            if let Some(key) = lead {
+                shared.inflight.abandon(key);
+            }
+            shared.metrics.note_panic();
+            recorder.close_with(job.trace, |f| f.push(("panicked", true.into())));
+            continue;
+        };
+        shared.metrics.note_request(response.latency);
+        recorder.close_with(job.trace, |f| {
+            f.push(("served", format!("{:?}", response.served).into()));
+            f.push(("latency_us", (response.latency.as_micros() as u64).into()));
+        });
+        // A closed reply channel just means the client gave up.
+        let _ = job.reply.send(response);
+    }
+}
+
+/// One one-shot request: retrieve, then take the fragment from the
+/// cache, wait for another shard's in-flight build of it, or build it
+/// here; answer from it. `lead` holds the fragment key while this
+/// request leads an in-flight build.
+fn run_one_shot<E: QueryEngine>(
+    shared: &Shared<E>,
+    qkb: &Qkbfly,
+    job: &Job,
+    lead: &mut Option<u64>,
+) -> QueryResponse {
+    let recorder = qkb.recorder();
+    let ctx = job.trace.ctx;
+    // The lookup span names the cache tier that settled the request.
+    let lookup_start = recorder.now_us();
+    let note_lookup = |outcome: &'static str, tier: &'static str| {
+        recorder.record_interval("fragment_lookup", ctx, lookup_start, |f| {
+            f.push(("outcome", outcome.into()));
+            f.push(("tier", tier.into()));
+        });
+    };
+    let doc_ids = shared.engine.retrieve(&job.request);
+    // Key without materializing texts: the cache-hit fast path stays
+    // allocation-light.
+    let fkey = shared.engine.doc_fingerprint(&doc_ids);
     // In-flight builds are shared across shards exactly when the
     // fragment tier is on.
     let coalesce = shared.cache.is_enabled();
-    loop {
-        let jobs = shared.queue.pop_batch(config.batch_max);
-        if jobs.is_empty() {
-            return; // closed and drained
+    // Promoting lookup, counted once the outcome settles: with
+    // coalescing on, a miss is re-checked race-free under the in-flight
+    // lock and may still turn out a hit.
+    let claim = match shared.cache.lookup(fkey) {
+        Some(frag) => Claim::Cached(frag),
+        None if coalesce => shared.inflight.claim(fkey, &shared.cache),
+        None => Claim::Leader,
+    };
+    shared.cache.count(matches!(claim, Claim::Cached(_)));
+    let (kb, served) = match claim {
+        Claim::Cached(frag) => {
+            note_lookup("cache_hit", "fragment");
+            (frag, Served::CacheHit)
         }
-        // Each job's time in the admission queue, as a child of its
-        // request root (the span started when the client enqueued).
-        for job in &jobs {
-            recorder.record_interval("admission_wait", job.trace.ctx, job.trace.start_us, |_| {});
+        Claim::Leader => {
+            note_lookup(if coalesce { "lead_build" } else { "build" }, "stage1");
+            *lead = coalesce.then_some(fkey);
+            let frag = build_fragment(shared, qkb, ctx, fkey, &doc_ids);
+            *lead = None;
+            (frag, Served::ColdBuild)
         }
-
-        // --- session turns leave the batch first: a session answer
-        // depends on the session's accumulated KB, not just the query
-        // text, so these jobs are never grouped, coalesced or served
-        // from the fragment cache — they stream into their session in
-        // arrival order (per-session slot locks serialize turns on one
-        // session across shards) ---
-        let mut session_jobs: Vec<Job> = Vec::new();
-        let mut batch_jobs: Vec<Job> = Vec::new();
-        for job in jobs {
-            if job.session.is_some() {
-                session_jobs.push(job);
-            } else {
-                batch_jobs.push(job);
+        Claim::Follower(slot) => {
+            note_lookup("follow_inflight", "inflight");
+            shared.metrics.note_inflight_coalesced();
+            match slot.wait() {
+                Some(frag) => (frag, Served::Coalesced),
+                // The leader died before publishing. Build here
+                // (deterministic, so a duplicate is benign) and publish
+                // for any other stranded followers.
+                None => (
+                    build_fragment(shared, qkb, ctx, fkey, &doc_ids),
+                    Served::ColdBuild,
+                ),
             }
         }
-        let n_session = session_jobs.len();
-
-        // --- coalesce identical queries within the batch ---
-        let mut groups: Vec<Group> = Vec::new();
-        let mut by_key: FxHashMap<String, usize> = FxHashMap::default();
-        for job in batch_jobs {
-            match by_key.get(&job.key) {
-                Some(&g) => groups[g].jobs.push(job),
-                None => {
-                    by_key.insert(job.key.clone(), groups.len());
-                    groups.push(Group { jobs: vec![job] });
-                }
-            }
-        }
-        let n_jobs: usize = groups.iter().map(|g| g.jobs.len()).sum();
-        shared.metrics.note_batch(
-            (n_jobs + n_session) as u64,
-            (groups.len() + n_session) as u64,
-        );
-        recorder.instant("batch_formed", |f| {
-            f.push(("jobs", (n_jobs + n_session).into()));
-            f.push(("groups", groups.len().into()));
-            f.push(("session_turns", n_session.into()));
-        });
-
-        for job in session_jobs {
-            run_session_turn(shared, &qkb, job);
-        }
-        if groups.is_empty() {
-            continue;
-        }
-
-        // --- resolve each group (cache / in-flight / build), then run
-        // one grouped build for every miss. The whole section is
-        // unwind-guarded: if anything in it panics, every still-pending
-        // in-flight claim this shard took is abandoned so follower
-        // shards fall back to building instead of waiting forever. ---
-        let mut claimed: Vec<u64> = Vec::new();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut resolutions: Vec<Option<Resolution>> = Vec::with_capacity(groups.len());
-            let mut build_meta: Vec<(usize, u64)> = Vec::new();
-            let mut doc_groups: Vec<Vec<String>> = Vec::new();
-            for (gi, group) in groups.iter().enumerate() {
-                // The lookup span hangs off the group's first request and
-                // names the cache tier that settled the group's fate.
-                let lookup_ctx = group.jobs[0].trace.ctx;
-                let lookup_start = recorder.now_us();
-                let note_lookup = |outcome: &'static str, tier: &'static str| {
-                    recorder.record_interval("fragment_lookup", lookup_ctx, lookup_start, |f| {
-                        f.push(("outcome", outcome.into()));
-                        f.push(("tier", tier.into()));
-                    });
-                };
-                let doc_ids = shared.engine.retrieve(&group.jobs[0].request);
-                // Key without materializing texts: the cache-hit fast
-                // path stays allocation-light.
-                let fkey = shared.engine.doc_fingerprint(&doc_ids);
-                // Promoting lookup, counted once the outcome settles: with
-                // coalescing on, a miss is re-checked race-free under the
-                // in-flight lock and may still turn out a hit.
-                let claim = match shared.cache.lookup(fkey) {
-                    Some(frag) => Claim::Cached(frag),
-                    None if coalesce => shared.inflight.claim(fkey, &shared.cache),
-                    None => Claim::Leader,
-                };
-                shared.cache.count(matches!(claim, Claim::Cached(_)));
-                match claim {
-                    Claim::Cached(frag) => {
-                        note_lookup("cache_hit", "fragment");
-                        resolutions.push(Some(Resolution::Ready(
-                            frag,
-                            Served::CacheHit,
-                            fkey,
-                            doc_ids.len(),
-                        )));
-                    }
-                    Claim::Leader => {
-                        note_lookup(if coalesce { "lead_build" } else { "build" }, "stage1");
-                        // Abandoning a key nobody claimed is a no-op.
-                        claimed.push(fkey);
-                        build_meta.push((gi, fkey));
-                        doc_groups.push(shared.engine.doc_texts(&doc_ids));
-                        resolutions.push(None);
-                    }
-                    Claim::Follower(slot) => {
-                        note_lookup("follow_inflight", "inflight");
-                        shared.metrics.note_inflight_coalesced();
-                        resolutions.push(Some(Resolution::Waiting(slot, fkey, doc_ids)));
-                    }
-                }
-            }
-
-            // Admission batching: one build round for every miss. The
-            // union of the groups' documents is provided once through the
-            // per-document stage-1 cache — only true misses run stage 1 —
-            // and every group folds the shared artifacts into its own KB.
-            // The round serves every leader group in the batch; its span
-            // hangs off the first one's request so the build tree (stage
-            // 1, resolve, canonicalize) has a request-rooted home.
-            if !build_meta.is_empty() {
-                let ctx = groups[build_meta[0].0].jobs[0].trace.ctx;
-                let fragments = build_fragments(shared, &qkb, "grouped_build", ctx, &doc_groups);
-                for ((&(gi, fkey), fragment), docs) in
-                    build_meta.iter().zip(fragments).zip(&doc_groups)
-                {
-                    // Without a claim (coalescing off) this is the cache
-                    // insert alone.
-                    shared
-                        .inflight
-                        .publish(fkey, fragment.clone(), &shared.cache);
-                    resolutions[gi] = Some(Resolution::Ready(
-                        fragment,
-                        Served::ColdBuild,
-                        fkey,
-                        docs.len(),
-                    ));
-                }
-            }
-            resolutions
-        }));
-        let resolutions = match unwound {
-            Ok(resolutions) => resolutions,
-            Err(payload) => {
-                // Published keys are no-ops; pending ones wake followers.
-                shared.inflight.abandon(claimed);
-                std::panic::resume_unwind(payload);
-            }
-        };
-
-        // --- answer and reply, one group at a time ---
-        for (group, resolution) in groups.into_iter().zip(resolutions) {
-            let group_ctx = group.jobs[0].trace.ctx;
-            let (kb, served, fkey, n_docs) = match resolution.expect("every group resolved") {
-                Resolution::Ready(kb, s, k, n) => (kb, s, k, n),
-                Resolution::Waiting(slot, k, doc_ids) => match slot.wait() {
-                    Some(kb) => (kb, Served::Coalesced, k, doc_ids.len()),
-                    None => {
-                        // The leader died before publishing. Build solo
-                        // (deterministic, so a duplicate is benign) and
-                        // publish for any other stranded followers.
-                        let texts = shared.engine.doc_texts(&doc_ids);
-                        let kb = build_fragments(shared, &qkb, "solo_build", group_ctx, &[texts])
-                            .remove(0);
-                        shared.inflight.publish(k, kb.clone(), &shared.cache);
-                        (kb, Served::ColdBuild, k, doc_ids.len())
-                    }
-                },
-            };
-            // Identical normalized queries may still differ in raw text;
-            // compute answers once per distinct raw text.
-            let mut memo: FxHashMap<String, Vec<String>> = FxHashMap::default();
-            for job in group.jobs {
-                let answer_start = recorder.now_us();
-                let answers = memo
-                    .entry(job.request.text.clone())
-                    .or_insert_with(|| shared.engine.answer_kb(&job.request, &kb))
-                    .clone();
-                recorder.record_interval("answer", job.trace.ctx, answer_start, |_| {});
-                let latency = job.enqueued.elapsed();
-                shared.metrics.note_request(latency);
-                recorder.close_with(job.trace, |f| {
-                    f.push(("served", format!("{served:?}").into()));
-                    f.push(("latency_us", (latency.as_micros() as u64).into()));
-                });
-                // A closed reply channel just means the client gave up.
-                let _ = job.reply.send(QueryResponse {
-                    answers,
-                    served,
-                    fragment_key: fkey,
-                    n_docs,
-                    n_facts: kb.n_facts(),
-                    latency,
-                });
-            }
-        }
+    };
+    let answer_start = recorder.now_us();
+    let answers = shared.engine.answer_kb(&job.request, &kb);
+    recorder.record_interval("answer", ctx, answer_start, |_| {});
+    QueryResponse {
+        answers,
+        served,
+        fragment_key: fkey,
+        n_docs: doc_ids.len(),
+        n_facts: kb.n_facts(),
+        latency: job.enqueued.elapsed(),
     }
 }
 
 /// One session turn: retrieve, stream the retrieved documents into the
 /// session's KB (stage-1 artifacts compute-or-lookup through the shared
 /// per-document cache — a document any earlier query paid for is free
-/// here too), answer from the whole accumulated KB, reply.
-fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &Qkbfly, job: Job) {
+/// here too), answer from the whole accumulated KB.
+fn run_session_turn<E: QueryEngine>(
+    shared: &Shared<E>,
+    qkb: &Qkbfly,
+    job: &Job,
+    session_id: &str,
+) -> QueryResponse {
     let recorder = qkb.recorder();
-    let session_id = job.session.as_deref().expect("session job");
     let mut turn_span = recorder.span_at("session_turn", job.trace.ctx);
     if recorder.is_enabled() {
         turn_span.field("session", session_id.to_string());
@@ -1009,7 +877,7 @@ fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &Qkbfly, job: Job) 
         });
     shared.sessions.note_turn(&report);
     // A turn's stage work feeds the same counters as one-shot builds,
-    // but a turn is not a build round.
+    // but a turn is not a fragment build.
     shared
         .metrics
         .note_stage_work(report.timings, report.resolve);
@@ -1021,31 +889,24 @@ fn run_session_turn<E: QueryEngine>(shared: &Shared<E>, qkb: &Qkbfly, job: Job) 
         Served::SessionExtended
     };
     drop(turn_span);
-    let latency = job.enqueued.elapsed();
-    shared.metrics.note_request(latency);
-    recorder.close_with(job.trace, |f| {
-        f.push(("served", format!("{served:?}").into()));
-        f.push(("latency_us", (latency.as_micros() as u64).into()));
-    });
-    let _ = job.reply.send(QueryResponse {
+    QueryResponse {
         answers,
         served,
         fragment_key: fkey,
         n_docs,
         n_facts,
-        latency,
-    });
+        latency: job.enqueued.elapsed(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn job(key: &str) -> Job {
+    fn job(text: &str) -> Job {
         let (tx, _rx) = mpsc::channel();
         Job {
-            request: QueryRequest::question(key),
-            key: key.to_string(),
+            request: QueryRequest::question(text),
             session: None,
             enqueued: Instant::now(),
             trace: OpenSpan::none(),
@@ -1054,43 +915,16 @@ mod tests {
     }
 
     #[test]
-    fn queue_batches_up_to_max() {
-        let q = AdmissionQueue::new();
-        for i in 0..5 {
-            q.push(job(&format!("k{i}"))).expect("open");
-        }
-        assert_eq!(q.pop_batch(3).len(), 3);
-        assert_eq!(q.pop_batch(3).len(), 2);
-    }
-
-    #[test]
     fn queue_close_drains_then_ends() {
         let q = AdmissionQueue::new();
         q.push(job("a")).expect("open");
+        q.push(job("b")).expect("open");
         q.close();
-        assert!(q.push(job("b")).is_err());
-        assert_eq!(q.pop_batch(4).len(), 1);
-        assert!(q.pop_batch(4).is_empty());
-    }
-
-    #[test]
-    fn queue_takes_the_backlog_without_waiting() {
-        let q = AdmissionQueue::new();
-        for i in 0..3 {
-            q.push(job(&format!("a{i}"))).expect("open");
-        }
-        // Fewer queued than `max`: the batch is the whole backlog, at once.
-        assert_eq!(q.pop_batch(8).len(), 3);
-        for i in 0..10 {
-            q.push(job(&format!("b{i}"))).expect("open");
-        }
-        let first = q.pop_batch(8);
-        assert_eq!(first.len(), 8);
-        assert_eq!(first[0].key, "b0", "the batch keeps arrival order");
-        assert_eq!(q.pop_batch(8).len(), 2);
-        // `max` 0 still makes progress, one job at a time.
-        q.push(job("c")).expect("open");
-        assert_eq!(q.pop_batch(0).len(), 1);
+        assert!(q.push(job("c")).is_err());
+        // The backlog drains oldest first, then the queue ends.
+        assert_eq!(q.pop().expect("drained").request.text, "a");
+        assert_eq!(q.pop().expect("drained").request.text, "b");
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -1115,7 +949,7 @@ mod tests {
         let cache = FragmentCache::new(4, 1, &qkb_obs::Registry::new());
         assert!(matches!(table.claim(3, &cache), Claim::Leader));
         let follower = table.claim(3, &cache);
-        table.abandon([3]);
+        table.abandon(3);
         if let Claim::Follower(slot) = follower {
             assert!(slot.wait().is_none(), "follower must see the abandonment");
         } else {
@@ -1124,6 +958,6 @@ mod tests {
         // The key is claimable again after abandonment.
         assert!(matches!(table.claim(3, &cache), Claim::Leader));
         // Abandoning an unclaimed/published key is a no-op.
-        table.abandon([99]);
+        table.abandon(99);
     }
 }

@@ -89,12 +89,10 @@ pub(crate) struct ServeMetrics {
     registry: Registry,
     started: Mutex<Instant>,
     requests: Counter,
-    batches: Counter,
-    build_rounds: Counter,
+    request_panics: Counter,
     cold_builds: Counter,
     assembled_builds: Counter,
     docs_built: Counter,
-    batch_coalesced: Counter,
     inflight_coalesced: Counter,
     build_preprocess_us: Counter,
     build_graph_us: Counter,
@@ -115,12 +113,10 @@ impl ServeMetrics {
     pub(crate) fn new(registry: &Registry) -> Self {
         Self {
             requests: registry.counter("serve_requests_total"),
-            batches: registry.counter("serve_batches_total"),
-            build_rounds: registry.counter("serve_build_rounds_total"),
+            request_panics: registry.counter("serve_request_panics_total"),
             cold_builds: registry.counter("serve_cold_builds_total"),
             assembled_builds: registry.counter("serve_assembled_builds_total"),
             docs_built: registry.counter("serve_docs_built_total"),
-            batch_coalesced: registry.counter("serve_batch_coalesced_total"),
             inflight_coalesced: registry.counter("serve_inflight_coalesced_total"),
             build_preprocess_us: registry.counter("serve_build_preprocess_us_total"),
             build_graph_us: registry.counter("serve_build_graph_us_total"),
@@ -142,33 +138,26 @@ impl ServeMetrics {
         &self.registry
     }
 
-    pub(crate) fn note_batch(&self, jobs: u64, groups: u64) {
-        self.batches.inc();
-        // Requests beyond the first of each identical-query group were
-        // coalesced at admission.
-        self.batch_coalesced.add(jobs - groups);
-    }
-
-    /// One grouped build round: `groups` fragments were constructed, of
-    /// which `assembled` reused at least one cached stage-1 artifact and
-    /// the rest (`groups - assembled`) were fully cold.
-    pub(crate) fn note_build_round(
+    /// One fragment build over `docs` documents: assembled when it reused
+    /// at least one cached stage-1 artifact, fully cold otherwise.
+    pub(crate) fn note_build(
         &self,
-        groups: u64,
-        assembled: u64,
+        assembled: bool,
         docs: u64,
         timings: StageTimings,
         resolve: ResolveCounters,
     ) {
-        self.build_rounds.inc();
-        self.cold_builds.add(groups - assembled);
-        self.assembled_builds.add(assembled);
+        if assembled {
+            self.assembled_builds.inc();
+        } else {
+            self.cold_builds.inc();
+        }
         self.docs_built.add(docs);
         self.note_stage_work(timings, resolve);
     }
 
-    /// Stage time and resolve work of merged documents — a build round's
-    /// or a session turn's — into the counters behind
+    /// Stage time and resolve work of merged documents — a fragment
+    /// build's or a session turn's — into the counters behind
     /// [`ServeStats::build_timings`] and [`ServeStats::resolve_counters`].
     pub(crate) fn note_stage_work(&self, timings: StageTimings, resolve: ResolveCounters) {
         self.build_preprocess_us
@@ -186,6 +175,11 @@ impl ServeMetrics {
 
     pub(crate) fn note_inflight_coalesced(&self) {
         self.inflight_coalesced.inc();
+    }
+
+    /// One request whose serving panicked: it got no reply.
+    pub(crate) fn note_panic(&self) {
+        self.request_panics.inc();
     }
 
     pub(crate) fn note_request(&self, latency: Duration) {
@@ -237,12 +231,12 @@ impl ServeMetrics {
             stage1: Stage1Counters::from_snapshot(snap),
             component: Stage1Counters::default(),
             sessions: SessionStats::from_snapshot(snap),
-            batches: c("serve_batches_total"),
-            build_rounds: c("serve_build_rounds_total"),
+            request_panics: c("serve_request_panics_total"),
+            batches: requests,
             cold_builds: c("serve_cold_builds_total"),
             assembled_builds: c("serve_assembled_builds_total"),
             docs_built: c("serve_docs_built_total"),
-            batch_coalesced: c("serve_batch_coalesced_total"),
+            batch_coalesced: 0,
             inflight_coalesced: c("serve_inflight_coalesced_total"),
             build_timings: StageTimings {
                 preprocess: us("serve_build_preprocess_us_total"),
@@ -312,23 +306,28 @@ pub struct ServeStats {
     /// Session-store counters (session-scoped streaming KBs:
     /// live/evicted sessions, extend-vs-cold turns, streaming dedup).
     pub sessions: SessionStats,
-    /// Admission batches processed.
+    /// Requests whose serving panicked. Each failed alone, without a
+    /// reply; its shard went on serving.
+    pub request_panics: u64,
+    /// Always equals `requests`: a shard serves one request at a time.
+    /// Kept only because `bench_e2e/src/run.rs` reads it (as the
+    /// denominator of `serve.batch_size`, which so reads 1).
     pub batches: u64,
-    /// Grouped `build_kb` rounds executed.
-    pub build_rounds: u64,
     /// Fragments built fully cold (no stage-1 artifact reused).
     pub cold_builds: u64,
     /// Fragments assembled with at least one cached stage-1 artifact.
     pub assembled_builds: u64,
     /// Documents fed through builds (assembled or computed).
     pub docs_built: u64,
-    /// Requests that shared a fragment with an identical query in the
-    /// same admission batch.
+    /// Always zero: there are no admission batches to share a fragment
+    /// in. Kept only because `bench_e2e/src/run.rs` reads it (a term of
+    /// `serve.coalesced`, which so counts in-flight followers only).
     pub batch_coalesced: u64,
-    /// Query groups that piggybacked on another shard's in-flight build.
+    /// Requests that waited on another shard's in-flight build of their
+    /// fragment.
     pub inflight_coalesced: u64,
-    /// Summed per-stage wall clock of every document merged by a build
-    /// round or a session turn (stage-1 slots carry the artifact's
+    /// Summed per-stage wall clock of every document merged by a
+    /// fragment build or a session turn (stage-1 slots carry the artifact's
     /// original compute cost, so a cached artifact re-reports it).
     pub build_timings: StageTimings,
     /// Summed resolve-stage work counters (coupling components, ILP
@@ -379,12 +378,10 @@ impl ServeStats {
             .with("stage1_capacity_bytes", self.stage1.capacity_bytes)
             .with("stage1_hit_rate", self.stage1_hit_rate())
             .with("sessions", self.sessions.to_json())
-            .with("batches", self.batches)
-            .with("build_rounds", self.build_rounds)
+            .with("request_panics", self.request_panics)
             .with("cold_builds", self.cold_builds)
             .with("assembled_builds", self.assembled_builds)
             .with("docs_built", self.docs_built)
-            .with("batch_coalesced", self.batch_coalesced)
             .with("inflight_coalesced", self.inflight_coalesced)
             .with("build_timings", self.build_timings.to_json())
             .with("resolve_counters", self.resolve_counters.to_json())
@@ -476,13 +473,12 @@ mod tests {
     #[test]
     fn registry_mirrors_counters_and_reset_zeroes_everything() {
         let metrics = ServeMetrics::new(&Registry::new());
-        metrics.note_batch(5, 3);
+        metrics.note_panic();
         metrics.note_request(Duration::from_micros(10));
         metrics.note_inflight_coalesced();
         let snap = metrics.registry().snapshot();
         assert_eq!(snap.counter("serve_requests_total"), Some(1));
-        assert_eq!(snap.counter("serve_batches_total"), Some(1));
-        assert_eq!(snap.counter("serve_batch_coalesced_total"), Some(2));
+        assert_eq!(snap.counter("serve_request_panics_total"), Some(1));
         assert_eq!(snap.counter("serve_inflight_coalesced_total"), Some(1));
         assert_eq!(snap.histogram("serve_request_latency_us").unwrap().count, 1);
         let text = snap.to_prometheus_text();
@@ -493,7 +489,7 @@ mod tests {
         assert!(metrics.registry().snapshot().is_zero());
         let stats = plain_snapshot(&metrics);
         assert_eq!(
-            (stats.requests, stats.batches, stats.latency_samples),
+            (stats.requests, stats.request_panics, stats.latency_samples),
             (0, 0, 0)
         );
         // Pre-reset handles keep working after the in-place zeroing.

@@ -148,7 +148,6 @@ fn traced_request_exports_a_well_formed_span_tree() {
         ServeConfig {
             shards: 1,
             cache_capacity: 16,
-            batch_max: 1,
             recorder: recorder.clone(),
             ..ServeConfig::default()
         },
@@ -206,7 +205,7 @@ fn traced_request_exports_a_well_formed_span_tree() {
         .expect("warm request root");
 
     // The cold request's tree walks the whole pipeline: admission wait,
-    // cache-outcome lookup, grouped build with the core build inside it
+    // cache-outcome lookup, fragment build with the core build inside it
     // (per-doc stage 1 with its per-stage children, per-component
     // resolve, the fold into the fragment KB), and the answer phase.
     let tree = descendants(&events, cold_root.id);
@@ -214,7 +213,7 @@ fn traced_request_exports_a_well_formed_span_tree() {
     for expected in [
         "admission_wait",
         "fragment_lookup",
-        "grouped_build",
+        "solo_build",
         "extend_kb",
         "stage1_doc",
         "stage1",
@@ -288,7 +287,7 @@ fn traced_request_exports_a_well_formed_span_tree() {
         Some("fragment")
     );
     assert!(
-        warm_events.iter().all(|e| e.name != "grouped_build"),
+        warm_events.iter().all(|e| e.name != "solo_build"),
         "a cache hit must not build"
     );
     assert!(warm_events.iter().any(|e| e.name == "answer"));
@@ -448,7 +447,6 @@ fn reset_stats_zeroes_the_registry_and_every_counter_tier() {
         ServeConfig {
             shards: 1,
             cache_capacity: 16,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -556,12 +554,10 @@ const SERIES: &[(&str, &str)] = &[
     ),
     ("sessions.forest_shared_bytes", "serve_forest_shared_bytes"),
     ("sessions.forest_layer_refs", "serve_forest_layer_refs"),
-    ("batches", "serve_batches_total"),
-    ("build_rounds", "serve_build_rounds_total"),
+    ("request_panics", "serve_request_panics_total"),
     ("cold_builds", "serve_cold_builds_total"),
     ("assembled_builds", "serve_assembled_builds_total"),
     ("docs_built", "serve_docs_built_total"),
-    ("batch_coalesced", "serve_batch_coalesced_total"),
     ("inflight_coalesced", "serve_inflight_coalesced_total"),
     (
         "build_timings.preprocess_us",
@@ -602,16 +598,13 @@ const EXEMPT: &[&str] = &[
     "build_timings.total_us",
 ];
 
-/// Every name the serve tier exported before its counters moved into
-/// one registry: none may disappear.
+/// Names the serve tier has exported since before its counters moved
+/// into one registry: none may disappear.
 const EXPORTED_BEFORE: &[&str] = &[
     "serve_requests_total",
-    "serve_batches_total",
-    "serve_build_rounds_total",
     "serve_cold_builds_total",
     "serve_assembled_builds_total",
     "serve_docs_built_total",
-    "serve_batch_coalesced_total",
     "serve_inflight_coalesced_total",
     "serve_build_preprocess_us_total",
     "serve_build_graph_us_total",
@@ -674,7 +667,6 @@ fn every_stats_value_is_exactly_one_prometheus_series() {
         sys.clone(),
         ServeConfig {
             shards: 1,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -748,7 +740,6 @@ fn net_server(sys: &Arc<QaSystem>, dir: &Path) -> QkbNetServer<Arc<QaSystem>> {
             journal: Some(journal),
             serve: ServeConfig {
                 shards: 1,
-                batch_max: 1,
                 ..ServeConfig::default()
             },
             ..NetConfig::default()

@@ -7,18 +7,26 @@
 //!    `build_kb` (counted through the shared `BuildCounters` hook), and
 //!    a shard waits for another shard's in-flight build of the same
 //!    documents exactly when the fragment cache is on;
-//! 3. **admission batching** — distinct queries queued behind a busy shard
-//!    form one batch and share one grouped build round;
+//! 3. **one request at a time** — a shard answers each request as soon
+//!    as its own work is done, never after work queued behind it;
 //! 4. **cache bounds** — a capacity-1 cache evicts under alternation and
 //!    hits under repetition;
 //! 5. **one fold** — a one-shot fragment and a session over the same
-//!    retrieval are the same KB, repeated documents merged once.
+//!    retrieval are the same KB, repeated documents merged once;
+//! 6. **failure isolation** — a request that panics fails alone: it gets
+//!    an `Error` frame, every shard keeps serving byte-identical answers,
+//!    and a session whose turn panicked is evicted (a journaled restart
+//!    does not bring it back, and its next turn starts cold).
 
 use qkb_corpus::questions::trends_test;
 use qkb_corpus::world::{World, WorldConfig};
 use qkb_kb::OnTheFlyKb;
+use qkb_net::{JournalConfig, NetClient, NetConfig, NetError, QkbNetServer};
+use qkb_obs::{FieldValue, Recorder};
 use qkb_qa::QaSystem;
-use qkb_serve::{QkbServer, QueryEngine, QueryRequest, ServeConfig, Served, SessionConfig};
+use qkb_serve::{
+    QkbServer, QueryEngine, QueryRequest, QueryResponse, ServeConfig, Served, SessionConfig,
+};
 use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,6 +57,19 @@ fn questions(sys: &QaSystem, n: usize) -> Vec<String> {
         .collect()
 }
 
+/// `n` questions whose retrieved document sets are pairwise distinct, so
+/// none can be served from another's fragment.
+fn distinct_retrievals(sys: &QaSystem, n: usize) -> Vec<String> {
+    let mut seen = std::collections::HashSet::new();
+    let qs: Vec<String> = questions(sys, 20)
+        .into_iter()
+        .filter(|q| seen.insert(sys.retrieve_docs(q)))
+        .take(n)
+        .collect();
+    assert_eq!(qs.len(), n, "fixture needs {n} distinct retrievals");
+    qs
+}
+
 /// The offline reference path: retrieve → build_kb → answer_in_kb.
 fn cold_answers(sys: &QaSystem, question: &str) -> Vec<String> {
     let doc_ids = sys.retrieve_docs(question);
@@ -69,7 +90,6 @@ fn cache_hit_answers_are_byte_identical_to_cold_builds() {
             ServeConfig {
                 shards,
                 cache_capacity: 16,
-                batch_max: 1,
                 ..ServeConfig::default()
             },
         );
@@ -100,9 +120,8 @@ fn k_concurrent_identical_queries_build_exactly_once() {
     let server = QkbServer::start(
         sys.clone(),
         ServeConfig {
-            shards: 1, // serial batches: the count below is exact
+            shards: 1, // one request at a time: the count below is exact
             cache_capacity: 16,
-            batch_max: 16,
             ..ServeConfig::default()
         },
     );
@@ -137,7 +156,7 @@ fn k_concurrent_identical_queries_build_exactly_once() {
     );
     let stats = server.stats();
     assert!(
-        stats.batch_coalesced + stats.cache.hits + stats.inflight_coalesced >= (K - 1) as u64,
+        stats.cache.hits + stats.inflight_coalesced >= (K - 1) as u64,
         "stats must account for the shared requests: {stats:?}"
     );
     server.shutdown();
@@ -151,21 +170,26 @@ enum Held {
 }
 
 /// An engine whose first call of one kind blocks until
-/// [`GateEngine::open`]: it holds a shard busy while other requests
-/// queue behind it (`retrieve`) or reach other shards (`doc_texts`, which
-/// a shard calls once it has claimed the build).
-struct GateEngine {
-    inner: Arc<QaSystem>,
+/// [`GateEngine::open`] — given a question, the first such call for that
+/// question: it holds a shard busy while other requests queue behind it
+/// (`retrieve`) or reach other shards (`doc_texts`, which a shard calls
+/// once it has claimed the build). Gates nest, each holding its own call.
+struct GateEngine<E> {
+    inner: E,
     held: Held,
+    /// The question whose call is held; `None` holds the first call of
+    /// the kind for any question.
+    question: Option<String>,
     gate: Mutex<(bool, bool)>, // (a call is held, the gate is open)
     cond: Condvar,
 }
 
-impl GateEngine {
-    fn new(inner: Arc<QaSystem>, held: Held) -> Self {
+impl<E: QueryEngine> GateEngine<E> {
+    fn new(inner: E, held: Held, question: Option<&str>) -> Self {
         Self {
             inner,
             held,
+            question: question.map(str::to_string),
             gate: Mutex::new((false, false)),
             cond: Condvar::new(),
         }
@@ -184,9 +208,10 @@ impl GateEngine {
         self.cond.notify_all();
     }
 
-    /// Holds the first `call` of the held kind until the gate opens.
-    fn pass(&self, call: Held) {
-        if call != self.held {
+    /// Holds the first `call` of the held kind whose question `asks` the
+    /// held one until the gate opens.
+    fn pass(&self, call: Held, asks: impl FnOnce(&str) -> bool) {
+        if call != self.held || !self.question.as_deref().is_none_or(asks) {
             return;
         }
         let mut gate = self.gate.lock().unwrap();
@@ -200,18 +225,20 @@ impl GateEngine {
     }
 }
 
-impl QueryEngine for GateEngine {
+impl<E: QueryEngine> QueryEngine for GateEngine<E> {
     fn qkbfly(&self) -> &qkbfly::Qkbfly {
         self.inner.qkbfly()
     }
 
     fn retrieve(&self, request: &QueryRequest) -> Vec<usize> {
-        self.pass(Held::Retrieve);
+        self.pass(Held::Retrieve, |q| request.text == q);
         self.inner.retrieve(request)
     }
 
     fn doc_texts(&self, doc_ids: &[usize]) -> Vec<String> {
-        self.pass(Held::DocTexts);
+        self.pass(Held::DocTexts, |q| {
+            self.inner.retrieve(&QueryRequest::question(q)) == doc_ids
+        });
         self.inner.doc_texts(doc_ids)
     }
 
@@ -236,7 +263,7 @@ fn in_flight_builds_are_shared_across_shards_exactly_when_the_cache_is_on() {
     let question = questions(&sys, 1).remove(0);
     let reference = cold_answers(&sys, &question);
     for cache_capacity in [16usize, 0] {
-        let gate = Arc::new(GateEngine::new(sys.clone(), Held::DocTexts));
+        let gate = Arc::new(GateEngine::new(sys.clone(), Held::DocTexts, None));
         let server = QkbServer::start(
             gate.clone(),
             ServeConfig {
@@ -289,61 +316,60 @@ fn in_flight_builds_are_shared_across_shards_exactly_when_the_cache_is_on() {
     }
 }
 
-/// Requests that queue while the shard is busy form one batch, and the
-/// batch's distinct misses share one build round. No time window is
-/// involved: the shard takes the backlog the moment it is free.
+/// A reply never waits for work queued after it. One shard is held in
+/// X's retrieval while a cache hit H and then a miss M queue behind it;
+/// released, the shard answers H while M's build is still held. Every
+/// answer equals the cold build's.
 #[test]
-fn admission_batching_groups_distinct_queries_into_one_round() {
+fn a_reply_never_waits_for_work_queued_after_it() {
     let sys = Arc::new(engine());
-    // Five questions with pairwise-distinct retrieved sets, so none can
-    // be served from another's fragment.
-    let mut seen_sets: Vec<Vec<usize>> = Vec::new();
-    let qs: Vec<String> = questions(&sys, 20)
-        .into_iter()
-        .filter(|q| {
-            let set = sys.retrieve_docs(q);
-            let fresh = !seen_sets.contains(&set);
-            seen_sets.push(set);
-            fresh
-        })
-        .take(5)
-        .collect();
-    assert_eq!(qs.len(), 5, "fixture needs 5 distinct retrievals");
-    let gate = Arc::new(GateEngine::new(sys.clone(), Held::Retrieve));
+    let qs = distinct_retrievals(&sys, 3);
+    let (x, h, m) = (&qs[0], &qs[1], &qs[2]);
+    let hold_m = Arc::new(GateEngine::new(sys.clone(), Held::DocTexts, Some(m)));
+    let hold_x = Arc::new(GateEngine::new(hold_m.clone(), Held::Retrieve, Some(x)));
     let server = QkbServer::start(
-        gate.clone(),
+        hold_x.clone(),
         ServeConfig {
             shards: 1,
             cache_capacity: 16,
-            batch_max: 8,
             ..ServeConfig::default()
         },
     );
-    std::thread::scope(|scope| {
+    server.query(QueryRequest::question(h)); // warms H's fragment
+    let ask = |q: &str| {
         let client = server.client();
-        let held = &qs[0];
-        scope.spawn(move || client.query(QueryRequest::question(held)));
-        gate.wait_held();
-        for q in &qs[1..] {
-            let client = server.client();
-            scope.spawn(move || client.query(QueryRequest::question(q)));
-        }
-        // Let the four requests reach the admission queue behind the
-        // held one before the shard is released.
-        std::thread::sleep(Duration::from_millis(200));
-        gate.open();
-    });
-    let stats = server.stats();
-    assert_eq!(stats.requests, qs.len() as u64);
-    assert_eq!(
-        stats.batches, 2,
-        "the held request, then the four queued behind it as one batch: {stats:?}"
-    );
-    assert_eq!(
-        stats.build_rounds, 2,
-        "the queued batch's four misses must share one build round: {stats:?}"
-    );
-    assert_eq!(stats.cold_builds + stats.assembled_builds, qs.len() as u64);
+        let q = q.to_string();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(client.try_query(QueryRequest::question(q))));
+        rx
+    };
+    let x_reply = ask(x);
+    hold_x.wait_held();
+    let h_reply = ask(h);
+    // Let H reach the admission queue ahead of M, and M queue too before
+    // the shard is released: a shard that took both at once would hold
+    // H's reply behind M's build.
+    std::thread::sleep(Duration::from_millis(100));
+    let m_reply = ask(m);
+    std::thread::sleep(Duration::from_millis(100));
+    hold_x.open();
+    let h_answer = h_reply.recv_timeout(Duration::from_secs(30));
+    // Release M whatever happened, so the server can shut down.
+    hold_m.open();
+    let h_answer = h_answer
+        .expect("H must be answered while M's build is held")
+        .expect("answered");
+    let answer_of = |rx: mpsc::Receiver<Option<QueryResponse>>| {
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("a reply")
+            .expect("answered")
+    };
+    assert_eq!(h_answer.served, Served::CacheHit);
+    assert_eq!(h_answer.answers, cold_answers(&sys, h));
+    assert_eq!(answer_of(x_reply).answers, cold_answers(&sys, x));
+    let m_answer = answer_of(m_reply);
+    assert_eq!(m_answer.served, Served::ColdBuild);
+    assert_eq!(m_answer.answers, cold_answers(&sys, m));
     server.shutdown();
 }
 
@@ -356,7 +382,6 @@ fn capacity_one_cache_evicts_under_alternation_and_hits_under_repeats() {
         ServeConfig {
             shards: 1,
             cache_capacity: 1,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -412,7 +437,6 @@ fn overlapping_queries_compute_stage1_once_per_union_document() {
             shards: 1,
             cache_capacity: 16,
             stage1_cache_bytes: 256 << 20,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -454,7 +478,6 @@ fn disabled_stage1_cache_recomputes_overlap() {
             shards: 1,
             cache_capacity: 16,
             stage1_cache_bytes: 0,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -576,7 +599,7 @@ fn session_turns_answer_from_the_accumulated_union_kb() {
 
 /// Session turns feed the same stage metrics as one-shot builds: a turn
 /// with fresh documents shows up in `build_timings` and
-/// `resolve_counters`, but it is not a build round.
+/// `resolve_counters`, but it is not a fragment build.
 #[test]
 fn session_turns_feed_the_stage_metrics() {
     let sys = Arc::new(engine());
@@ -601,7 +624,10 @@ fn session_turns_feed_the_stage_metrics() {
         stats.resolve_counters.components > before.resolve_counters.components,
         "a turn's resolve components must be counted: {stats:?}"
     );
-    assert_eq!(stats.build_rounds, before.build_rounds);
+    assert_eq!(
+        stats.cold_builds + stats.assembled_builds,
+        before.cold_builds + before.assembled_builds
+    );
     server.shutdown();
 }
 
@@ -779,7 +805,6 @@ fn reset_stats_zeroes_counters_but_keeps_resident_state() {
         ServeConfig {
             shards: 1,
             cache_capacity: 16,
-            batch_max: 1,
             ..ServeConfig::default()
         },
     );
@@ -832,4 +857,128 @@ fn entity_seed_requests_serve_rendered_facts() {
     assert_eq!(response.answers, again.answers);
     assert_eq!(again.served, Served::CacheHit);
     server.shutdown();
+}
+
+/// Marks a question whose answer panics inside the engine.
+const PANIC_MARKER: &str = "#panic";
+
+/// An engine whose `answer_kb` panics on a question carrying
+/// [`PANIC_MARKER`]: an engine fault on one request.
+struct PanicEngine(Arc<QaSystem>);
+
+impl QueryEngine for PanicEngine {
+    fn qkbfly(&self) -> &qkbfly::Qkbfly {
+        self.0.qkbfly()
+    }
+
+    fn retrieve(&self, request: &QueryRequest) -> Vec<usize> {
+        self.0.retrieve(request)
+    }
+
+    fn doc_texts(&self, doc_ids: &[usize]) -> Vec<String> {
+        self.0.doc_texts(doc_ids)
+    }
+
+    fn answer_kb(&self, request: &QueryRequest, kb: &OnTheFlyKb) -> Vec<String> {
+        assert!(
+            !request.text.contains(PANIC_MARKER),
+            "engine fault on {:?}",
+            request.text
+        );
+        self.0.answer_kb(request, kb)
+    }
+}
+
+/// Runs `f` on its own thread and waits at most 60 s for it, so a server
+/// left with no live shard fails the test instead of hanging it.
+fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("it panicked, or hung for 60 s")
+}
+
+/// Two panics on a two-shard server, over loopback TCP with a journal:
+/// each panicking request gets an `Error` frame, the connection serves on,
+/// and both shards keep answering byte-identically to cold builds. The
+/// panicking turn evicts its session (a `panic` eviction, counted as
+/// neither TTL nor pressure), so a restart does not bring it back and its
+/// next turn starts cold, on a KB byte-identical to a fresh session's
+/// after the same turn. Another session is untouched.
+#[test]
+fn panicking_requests_fail_alone_and_every_shard_keeps_serving() {
+    let sys = Arc::new(engine());
+    let qs = distinct_retrievals(&sys, 3);
+    let dir = std::env::temp_dir().join(format!("qkb_serving_panic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let recorder = Recorder::flight();
+    let config = {
+        let (dir, recorder) = (dir.clone(), recorder.clone());
+        move || NetConfig {
+            journal: Some(JournalConfig {
+                fsync: false,
+                ..JournalConfig::new(&dir)
+            }),
+            serve: ServeConfig {
+                shards: 2,
+                recorder: recorder.clone(),
+                ..ServeConfig::default()
+            },
+            ..NetConfig::default()
+        }
+    };
+    let ask = |q: &str| QueryRequest::question(q);
+    // The first life runs under a timeout: with no live shard left, a
+    // request would wait forever.
+    let (sys1, qs1, config1) = (sys.clone(), qs.clone(), config.clone());
+    let other_kb = within(move || {
+        let (sys, qs) = (sys1, qs1);
+        let failed = |reply: Result<_, NetError>| match reply {
+            Err(NetError::Server(message)) => assert_eq!(message, "request failed"),
+            other => panic!("a panicking request must get an Error frame, got {other:?}"),
+        };
+        let marked = format!("{} {PANIC_MARKER}", qs[1]);
+        let server = QkbNetServer::start(PanicEngine(sys.clone()), config1()).unwrap();
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        failed(client.query(ask(&marked)));
+        client.query_in_session("o", ask(&qs[1])).unwrap();
+        let other_kb = server.session_kb_json("o").expect("o is resident");
+        client.query_in_session("s", ask(&qs[0])).unwrap();
+        failed(client.query_in_session("s", ask(&marked)));
+        assert_eq!(server.session_kb_json("s"), None, "s is evicted");
+        assert_eq!(server.session_kb_json("o").as_ref(), Some(&other_kb));
+        for q in &qs {
+            let answer = client.query(ask(q)).expect("an ordinary request");
+            assert_eq!(answer.answers, cold_answers(&sys, q));
+        }
+        let stats = server.stats().serve;
+        assert_eq!(stats.request_panics, 2);
+        let evicted = (stats.sessions.evicted_ttl, stats.sessions.evicted_pressure);
+        assert_eq!(evicted, (0, 0));
+        other_kb
+    });
+    let panic_evictions = recorder.records().into_iter().filter(|r| {
+        r.name == "session_evict" && r.fields.contains(&("reason", FieldValue::Str("panic")))
+    });
+    assert_eq!(panic_evictions.count(), 1);
+    let restarted = QkbNetServer::start(PanicEngine(sys.clone()), config()).unwrap();
+    assert_eq!(
+        restarted.session_kb_json("s"),
+        None,
+        "a restart does not bring s back"
+    );
+    assert_eq!(restarted.session_kb_json("o"), Some(other_kb));
+    let mut client = NetClient::connect(restarted.local_addr()).unwrap();
+    let next = client.query_in_session("s", ask(&qs[2])).unwrap();
+    assert_eq!(next.served, Served::SessionCold);
+    let fresh = client.query_in_session("fresh", ask(&qs[2])).unwrap();
+    assert_eq!(next.answers, fresh.answers);
+    assert_eq!(
+        restarted.session_kb_json("s").expect("s is resident"),
+        restarted
+            .session_kb_json("fresh")
+            .expect("fresh is resident")
+    );
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,6 +5,7 @@ use crate::session::{SessionKb, TurnReport};
 use crate::stats::SessionStats;
 use qkb_obs::{Counter, Recorder, Registry};
 use qkb_util::FxHashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -46,6 +47,16 @@ impl Default for SessionConfig {
 
 /// What [`SessionManager::with_eviction_hook`] calls with an evicted id.
 type EvictionHook = Box<dyn Fn(&str) + Send + Sync>;
+
+/// Why the store dropped a session.
+#[derive(Clone, Copy)]
+enum Eviction {
+    Ttl,
+    /// The session cap or the byte budget.
+    Pressure,
+    /// A turn on it panicked, leaving its KB in an unknown state.
+    Panic,
+}
 
 /// One session's KB behind its own lock, plus the flag the store sets
 /// when it evicts the slot.
@@ -128,8 +139,8 @@ struct Inner {
 /// `serve_session_*_total`); its occupancy is read from the live store
 /// when a snapshot is taken ([`SessionManager::gauges`]).
 ///
-/// Every eviction, TTL or pressure, reaches the hook set by
-/// [`SessionManager::with_eviction_hook`]. The hook and
+/// Every eviction, by TTL, by pressure or after a turn panicked, reaches
+/// the hook set by [`SessionManager::with_eviction_hook`]. The hook and
 /// [`Residency::if_resident`] run under one report lock, taken inside
 /// the store lock (an eviction) or inside a slot lock (a turn's report);
 /// the store lock and a slot lock are never held together.
@@ -198,9 +209,10 @@ impl SessionManager {
     }
 
     /// Builder: call `hook` with the id of every session the store
-    /// evicts, by TTL or by pressure. The hook runs under the store lock,
-    /// so it hears of an eviction before any turn of a later session with
-    /// the same id can start. It must not call back into the store.
+    /// evicts, by TTL, by pressure or after a turn panicked. The hook runs
+    /// under the store lock, so it hears of an eviction before any turn of
+    /// a later session with the same id can start. It must not call back
+    /// into the store.
     pub fn with_eviction_hook(mut self, hook: impl Fn(&str) + Send + Sync + 'static) -> Self {
         self.on_evict = Some(Box::new(hook));
         self
@@ -235,24 +247,56 @@ impl SessionManager {
         Some(self.run_turn(id, slot, |kb, _| f(kb)))
     }
 
-    /// Runs `f` on a claimed slot, then re-weighs the session.
+    /// Runs `f` on a claimed slot, then re-weighs the session. When `f`
+    /// panics, the session is evicted before the unwind resumes: its KB
+    /// is in an unknown state, so no later claim may return the slot.
     fn run_turn<R>(
         &self,
         id: &str,
         slot: Arc<Slot>,
         f: impl FnOnce(&mut SessionKb, &Residency<'_>) -> R,
     ) -> R {
-        let (result, bytes, turn) = {
-            let mut kb = slot.kb.lock().expect("session slot");
-            let residency = Residency {
-                slot: &slot,
-                order: &self.report_order,
-            };
-            let result = f(&mut kb, &residency);
-            (result, kb.approx_bytes(), kb.turns())
+        let mut kb = slot.kb.lock().expect("session slot");
+        let residency = Residency {
+            slot: &slot,
+            order: &self.report_order,
         };
-        self.reweigh(id, &slot, bytes, turn);
-        result
+        // The guard outlives the unwind, so the slot lock is released
+        // normally instead of being poisoned.
+        match catch_unwind(AssertUnwindSafe(|| f(&mut kb, &residency))) {
+            Ok(result) => {
+                let (bytes, turn) = (kb.approx_bytes(), kb.turns());
+                drop(kb);
+                self.reweigh(id, &slot, bytes, turn);
+                result
+            }
+            Err(payload) => {
+                // A turn already waiting on the slot must not read what
+                // the panic left half-built.
+                *kb = SessionKb::new();
+                drop(kb);
+                self.evict_slot(id, &slot);
+                resume_unwind(payload)
+            }
+        }
+    }
+
+    /// Evicts session `id` if it still maps to `slot` (a turn on it
+    /// panicked). Not a TTL or pressure eviction, so neither counter
+    /// moves.
+    fn evict_slot(&self, id: &str, slot: &Arc<Slot>) {
+        let mut inner = self.inner.lock().expect("session manager");
+        // Another slot, or none, means the store evicted this one, and
+        // reported it, while the turn ran.
+        if inner
+            .sessions
+            .get(id)
+            .is_some_and(|e| Arc::ptr_eq(&e.slot, slot))
+        {
+            let entry = inner.sessions.remove(id).expect("resident");
+            inner.total_bytes -= entry.bytes;
+            self.note_eviction(id, slot, Eviction::Panic);
+        }
     }
 
     /// Runs `f` on the KB of resident session `id`; `None` when there is
@@ -359,7 +403,7 @@ impl SessionManager {
         if stale {
             let entry = inner.sessions.remove(id).expect("stale resident");
             inner.total_bytes -= entry.bytes;
-            self.note_eviction(id, &entry.slot, true);
+            self.note_eviction(id, &entry.slot, Eviction::Ttl);
         }
         if !create {
             return None;
@@ -433,7 +477,7 @@ impl SessionManager {
             Some(id) => {
                 let entry = inner.sessions.remove(&id).expect("victim resident");
                 inner.total_bytes -= entry.bytes;
-                self.note_eviction(&id, &entry.slot, false);
+                self.note_eviction(&id, &entry.slot, Eviction::Pressure);
                 true
             }
             None => false,
@@ -455,26 +499,32 @@ impl SessionManager {
             let live = now.duration_since(entry.last_used) <= ttl;
             if !live {
                 *total_bytes -= entry.bytes;
-                self.note_eviction(id, &entry.slot, true);
+                self.note_eviction(id, &entry.slot, Eviction::Ttl);
             }
             live
         });
     }
 
-    /// Marks an evicted slot, counts the eviction and reports it to the
-    /// hook. Runs under the store lock, like every eviction.
-    fn note_eviction(&self, id: &str, slot: &Slot, ttl: bool) {
+    /// Marks an evicted slot, counts a TTL or pressure eviction and
+    /// reports it to the hook. Runs under the store lock, like every
+    /// eviction.
+    fn note_eviction(&self, id: &str, slot: &Slot, why: Eviction) {
         slot.evicted.store(true, Ordering::Relaxed);
         if let Some(hook) = &self.on_evict {
             let _order = self.report_order.lock().expect("report order");
             hook(id);
         }
-        let (counter, reason) = if ttl {
-            (&self.evicted_ttl, "ttl")
-        } else {
-            (&self.evicted_pressure, "pressure")
+        let reason = match why {
+            Eviction::Ttl => {
+                self.evicted_ttl.inc();
+                "ttl"
+            }
+            Eviction::Pressure => {
+                self.evicted_pressure.inc();
+                "pressure"
+            }
+            Eviction::Panic => "panic",
         };
-        counter.inc();
         self.recorder.instant("session_evict", |f| {
             f.push(("reason", reason.into()));
             f.push(("session", id.to_string().into()));

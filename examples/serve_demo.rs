@@ -100,14 +100,8 @@ fn main() {
         s.stage1_hit_rate() * 100.0
     );
     println!(
-        "builds: {} cold + {} assembled in {} grouped rounds, {} docs; \
-         coalesced: {} in-batch, {} in-flight",
-        s.cold_builds,
-        s.assembled_builds,
-        s.build_rounds,
-        s.docs_built,
-        s.batch_coalesced,
-        s.inflight_coalesced
+        "builds: {} cold + {} assembled, {} docs; coalesced: {} in-flight",
+        s.cold_builds, s.assembled_builds, s.docs_built, s.inflight_coalesced
     );
     server.shutdown();
 }
